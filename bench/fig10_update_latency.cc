@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -225,92 +224,5 @@ int main() {
   }
   std::printf("expected shape: batched total time tracks survivor count "
               "(8), not burst size; >=3x win at burst >= 64.\n");
-
-  // -------------------------------------------------------------------
-  // (c) Sharded decision pass (DESIGN.md §13): shards=1 vs shards=4 on
-  // wide flap bursts. 64 distinct prefixes per burst means nothing
-  // coalesces, so the rib_update stage — not the compiler — carries the
-  // work and the fan-out is measurable. Both runtimes pin the pool to 4
-  // threads; the oracle asserts they stay packet-for-packet identical.
-  std::printf("\nSharded decision pass (150 participants, 64 distinct "
-              "prefixes per burst, shards 1 vs 4):\n");
-
-  auto wide = bench::MakeScenario(/*participants=*/150, /*prefixes=*/4000,
-                                  /*seed=*/4200, /*policy_scale=*/1.0,
-                                  /*coverage_fanout=*/75);
-  core::SdxRuntime dec_seq;
-  core::SdxRuntime dec_par;
-  bench::BuildAndCompile(dec_seq, wide);
-  bench::BuildAndCompile(dec_par, wide);
-  core::CompileOptions pinned;
-  pinned.threads = 4;
-  dec_seq.SetCompileOptions(pinned);
-  dec_par.SetCompileOptions(pinned);
-  dec_seq.SetDecisionOptions({.parallel = false, .shards = 1});
-  dec_par.SetDecisionOptions({.parallel = true, .shards = 4});
-  dec_par.EnableConvergenceTracking();
-
-  const auto rib_update_seconds = [](const core::BatchStats& stats) {
-    for (const auto& span : stats.stages) {
-      if (span.name == "rib_update") return span.seconds;
-    }
-    return 0.0;
-  };
-
-  double seq_decision_s = 0.0;
-  double par_decision_s = 0.0;
-  std::size_t decided = 0;
-  std::uint32_t shard_escalation = 5000;
-  constexpr int kShardRounds = 24;
-  for (int round = 0; round < kShardRounds; ++round) {
-    const auto burst = MakeFlapBurst(dec_seq, wide.scenario, /*distinct=*/64,
-                                     /*size=*/64, shard_escalation);
-    const core::BatchStats s = dec_seq.ApplyUpdates(burst);
-    const core::BatchStats p = dec_par.ApplyUpdates(burst);
-    seq_decision_s += rib_update_seconds(s);
-    par_decision_s += rib_update_seconds(p);
-    decided += s.updates_applied;
-    if (s.updates_applied != p.updates_applied || !p.decision_parallel) {
-      std::fprintf(stderr, "FAIL: sharded batch diverged in shape (round %d: "
-                   "%zu vs %zu applied, parallel=%d)\n", round,
-                   s.updates_applied, p.updates_applied,
-                   p.decision_parallel ? 1 : 0);
-      return 1;
-    }
-  }
-
-  const oracle::OracleResult shard_check = oracle::ComparePacketBehavior(
-      dec_seq, dec_par, wide.scenario, /*seed=*/9100, 300);
-  const double decision_speedup =
-      par_decision_s > 0.0 ? seq_decision_s / par_decision_s : 0.0;
-  std::printf("%8s %12s %12s %9s %10s %7s\n", "rounds", "seq_dec_ms",
-              "shard_dec_ms", "speedup", "decided", "oracle");
-  std::printf("%8d %12.2f %12.2f %8.2fx %10zu %7s\n", kShardRounds,
-              seq_decision_s * 1e3, par_decision_s * 1e3, decision_speedup,
-              decided, shard_check.equivalent ? "ok" : "FAIL");
-  if (!shard_check.equivalent) {
-    std::fprintf(stderr, "oracle divergence between shard counts:\n%s\n",
-                 shard_check.report.c_str());
-    return 1;
-  }
-
-  // The speedup gauge lands in BOTH snapshots (1.0 on the sequential side)
-  // so `sdxmon diff --min-decision-speedup` band-checks the sharded side
-  // against the floor. The realizable ratio depends on host core count, so
-  // the hard local gate is opt-in via SDX_BENCH_ENFORCE_DECISION_SPEEDUP
-  // (CI's bench lane pins 4 cores and sets it).
-  dec_seq.metrics().GetGauge("decision.parallel_speedup").Set(1.0);
-  dec_par.metrics().GetGauge("decision.parallel_speedup").Set(decision_speedup);
-  bench::WriteMetricsSnapshot(dec_seq, "fig10_sharded_seq");
-  bench::WriteMetricsSnapshot(dec_par, "fig10_sharded");
-  if (std::getenv("SDX_BENCH_ENFORCE_DECISION_SPEEDUP") != nullptr &&
-      decision_speedup < 2.5) {
-    std::fprintf(stderr, "FAIL: sharded decision speedup %.2fx under the "
-                 "2.5x floor (4 shards, 4 threads)\n", decision_speedup);
-    return 1;
-  }
-  std::printf("expected shape: decision time drops with shard count on "
-              "multi-core hosts (>=2.5x at 4 shards / 4 threads); exactly "
-              "1.0x-equivalent behavior either way.\n");
   return 0;
 }

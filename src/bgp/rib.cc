@@ -29,12 +29,9 @@ void AdjRibIn::ForEach(const std::function<void(const BgpRoute&)>& fn) const {
 
 bool LocRib::Set(const BgpRoute& route) {
   auto [it, inserted] = routes_.try_emplace(route.prefix, route);
-  if (!inserted) {
-    if (it->second == route) return false;
-    it->second = route;
-  } else {
-    trie_.Insert(route.prefix, &it->second);
-  }
+  if (inserted) return true;
+  if (it->second == route) return false;
+  it->second = route;
   return true;
 }
 
@@ -43,19 +40,12 @@ std::optional<BgpRoute> LocRib::Remove(const net::IPv4Prefix& prefix) {
   if (it == routes_.end()) return std::nullopt;
   BgpRoute removed = std::move(it->second);
   routes_.erase(it);
-  trie_.Erase(prefix);
   return removed;
 }
 
 const BgpRoute* LocRib::Find(const net::IPv4Prefix& prefix) const {
   auto it = routes_.find(prefix);
   return it == routes_.end() ? nullptr : &it->second;
-}
-
-std::optional<BgpRoute> LocRib::Lookup(net::IPv4Address address) const {
-  auto match = trie_.LongestMatch(address);
-  if (!match) return std::nullopt;
-  return **match->second;
 }
 
 std::vector<BgpRoute> LocRib::FilterByAsPath(

@@ -16,7 +16,6 @@
 
 #include "bgp/route.h"
 #include "net/ipv4.h"
-#include "net/prefix_trie.h"
 
 namespace sdx::bgp {
 
@@ -51,9 +50,6 @@ class LocRib {
 
   const BgpRoute* Find(const net::IPv4Prefix& prefix) const;
 
-  // Longest-prefix-match over best routes, for data-plane style queries.
-  std::optional<BgpRoute> Lookup(net::IPv4Address address) const;
-
   // All routes whose AS path matches `pattern` — the paper's
   // RIB.filter('as_path', regex) used for attribute-based policy matching.
   std::vector<BgpRoute> FilterByAsPath(const AsPathPattern& pattern) const;
@@ -64,57 +60,6 @@ class LocRib {
 
  private:
   std::unordered_map<net::IPv4Prefix, BgpRoute> routes_;
-  // LPM index into routes_; pointers are stable (node-based map).
-  net::PrefixMap<const BgpRoute*> trie_;
 };
-
-// Worker-private copy-on-write view over a const base RIB (DESIGN.md §13).
-// The sharded decision pass computes per-prefix decisions on worker threads
-// without mutating the base containers: reads go overlay-first (a buffered
-// write shadows the base entry, nullopt shadows it as withdrawn), writes
-// land only in the overlay, and the control thread later replays the
-// buffered effects into the base RIBs sequentially in drain order. One
-// template serves both AdjRibIn and LocRib because the decision pass needs
-// only exact per-prefix lookup and changed-ness — never LPM or enumeration.
-template <typename BaseRib>
-class RibOverlay {
- public:
-  explicit RibOverlay(const BaseRib* base = nullptr) : base_(base) {}
-
-  // Overlay-first exact lookup. The returned pointer is invalidated by the
-  // next Set/Erase (the pending map may rehash) — copy before mutating.
-  const BgpRoute* Find(const net::IPv4Prefix& prefix) const {
-    auto it = pending_.find(prefix);
-    if (it != pending_.end()) {
-      return it->second ? &*it->second : nullptr;
-    }
-    return base_ == nullptr ? nullptr : base_->Find(prefix);
-  }
-
-  // Mirrors AdjRibIn::Announce / LocRib::Set changed-ness: true when the
-  // visible entry was absent or differed in content.
-  bool Set(const BgpRoute& route) {
-    const BgpRoute* current = Find(route.prefix);
-    if (current != nullptr && *current == route) return false;
-    pending_[route.prefix] = route;
-    return true;
-  }
-
-  // Mirrors AdjRibIn::Withdraw / LocRib::Remove: true when an entry was
-  // visible.
-  bool Erase(const net::IPv4Prefix& prefix) {
-    const bool existed = Find(prefix) != nullptr;
-    pending_[prefix] = std::nullopt;
-    return existed;
-  }
-
- private:
-  const BaseRib* base_ = nullptr;
-  // prefix -> buffered write (nullopt = withdrawn).
-  std::unordered_map<net::IPv4Prefix, std::optional<BgpRoute>> pending_;
-};
-
-using AdjRibInOverlay = RibOverlay<AdjRibIn>;
-using LocRibOverlay = RibOverlay<LocRib>;
 
 }  // namespace sdx::bgp

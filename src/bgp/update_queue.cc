@@ -1,9 +1,5 @@
 #include "bgp/update_queue.h"
 
-#include <algorithm>
-
-#include "bgp/shard.h"
-
 namespace sdx::bgp {
 
 bool UpdateQueue::Enqueue(BgpUpdate update) {
@@ -33,17 +29,6 @@ std::vector<CoalescedUpdate> UpdateQueue::Drain() {
   slots_.clear();
   index_.clear();
   raw_ = 0;
-  return out;
-}
-
-std::vector<std::vector<std::size_t>> ShardByPrefix(
-    std::span<const CoalescedUpdate> slots, int shards) {
-  const int n = std::clamp(shards, 1, kMaxDecisionShards);
-  std::vector<std::vector<std::size_t>> out(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const int shard = PrefixShard(UpdatePrefix(slots[i].update), n);
-    out[static_cast<std::size_t>(shard)].push_back(i);
-  }
   return out;
 }
 

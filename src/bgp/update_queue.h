@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,14 +70,5 @@ class UpdateQueue {
   std::map<std::pair<AsNumber, net::IPv4Prefix>, std::size_t> index_;
   std::size_t raw_ = 0;
 };
-
-// Shard routing for drained slots (DESIGN.md §13): partitions slot indices
-// into `shards` lists by prefix-hash (bgp/shard.h), each list preserving
-// drain order. Every slot for a given prefix lands in exactly one list, so
-// per-prefix application order survives the fan-out; distinct prefixes are
-// order-free across lists (the same independence Drain's FIFO contract
-// already relies on). shards <= 1 returns a single list of all indices.
-std::vector<std::vector<std::size_t>> ShardByPrefix(
-    std::span<const CoalescedUpdate> slots, int shards);
 
 }  // namespace sdx::bgp

@@ -144,14 +144,6 @@ BenchDiff DiffMetrics(const json::Value& before, const json::Value& after,
            os << "fastpath speedup " << a.number << " < floor "
               << options.min_fastpath_speedup;
            note = os.str();
-         } else if (options.min_decision_speedup > 0.0 &&
-                    name.rfind("decision.parallel_speedup", 0) == 0 &&
-                    a.number < options.min_decision_speedup) {
-           regressed = true;
-           std::ostringstream os;
-           os << "decision parallel speedup " << a.number << " < floor "
-              << options.min_decision_speedup;
-           note = os.str();
          }
          record("gauge " + name, b.number, a.number, regressed,
                 std::move(note));

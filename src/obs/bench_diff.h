@@ -53,13 +53,6 @@ struct BenchDiffOptions {
   // floor is a regression — the compiled backend stopped paying for
   // itself.
   double min_fastpath_speedup = 10.0;
-  // "decision.parallel_speedup"-prefixed gauges carry the sharded-decision
-  // vs sequential decision throughput ratio measured by fig10 part (c)
-  // (DESIGN.md §13). Absolute floor like the fastpath band, but 0 (off) by
-  // default: the realizable ratio depends on host core count, so only
-  // runs that pin the thread count (the CI bench lane) opt into a floor
-  // via --min-decision-speedup.
-  double min_decision_speedup = 0.0;
   // Absolute ceiling on the p99 of "convergence."-prefixed histograms
   // (DESIGN.md §12): per-update convergence tail latency in seconds. The
   // paper's claim is sub-second convergence; any run whose after-side

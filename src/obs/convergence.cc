@@ -141,9 +141,6 @@ void ConvergenceTracker::RecordBatch(const ConvergenceBatch& batch) {
   std::lock_guard<std::mutex> lock(mu_);
   SyncFromJournalLocked();
   decision_wall_seconds_ += batch.decision_seconds;
-  decision_shard_seconds_ += batch.decision_shard_seconds != 0.0
-                                 ? batch.decision_shard_seconds
-                                 : batch.decision_seconds;
   const double start = batch.end_seconds - batch.batch_seconds;
   for (const auto& [id, as] : batch.applied) {
     // Batch-local segments apply to every update the batch carried,
@@ -186,7 +183,6 @@ ConvergenceStats ConvergenceTracker::Snapshot(
     std::lock_guard<std::mutex> lock(mu_);
     stats.pending = pending_.size();
     stats.decision_wall_seconds = decision_wall_seconds_;
-    stats.decision_shard_seconds = decision_shard_seconds_;
     stats.worst_by_as.reserve(by_as_.size());
     for (const auto& [as, tally] : by_as_) {
       stats.worst_by_as.push_back(
@@ -237,8 +233,6 @@ void ConvergenceTracker::FillMetrics(MetricsSnapshot* snapshot) const {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot->gauges["convergence.decision.wall_seconds_total"] =
         decision_wall_seconds_;
-    snapshot->gauges["convergence.decision.shard_seconds_total"] =
-        decision_shard_seconds_;
   }
 }
 
@@ -266,8 +260,6 @@ void ConvergenceTracker::AppendSeries(std::map<std::string, double>* values,
   (*values)["convergence.pending"] = static_cast<double>(stats.pending);
   (*values)["convergence.decision.wall_seconds_total"] =
       stats.decision_wall_seconds;
-  (*values)["convergence.decision.shard_seconds_total"] =
-      stats.decision_shard_seconds;
   for (const ConvergenceStats::Offender& o : stats.worst_by_as) {
     const std::string key = "convergence.as" + std::to_string(o.as);
     (*values)[key + ".updates"] = static_cast<double>(o.updates);

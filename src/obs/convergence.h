@@ -57,10 +57,6 @@ struct ConvergenceBatch {
   double end_seconds = 0.0;    // when the FIB/VNH/re-advertise flush finished
   double batch_seconds = 0.0;  // whole-batch wall time (start = end - this)
   double decision_seconds = 0.0;  // rib_update stage (wall time)
-  // Summed per-shard decision worker time (DESIGN.md §13). Equals
-  // decision_seconds on the sequential path; exceeds it when the decision
-  // pass fanned out (total CPU across shards vs. wall).
-  double decision_shard_seconds = 0.0;
   double compile_seconds = 0.0;   // group_construction + slice_compile
   double flush_seconds = 0.0;     // rule_install + readvertise
   // Updates applied by this batch: (provenance id, sender AS). The AS is
@@ -91,11 +87,8 @@ struct ConvergenceStats {
   std::uint64_t coalesced_attributed = 0;  // losers measured via absorber
   std::uint64_t pending = 0;               // stamps awaiting their batch
 
-  // Cumulative decision-segment attribution across all batches: wall time
-  // of the rib_update stage vs. summed per-shard worker time. The ratio
-  // shard/wall is the realized decision parallelism.
+  // Cumulative wall time of the rib_update stage across all batches.
   double decision_wall_seconds = 0.0;
-  double decision_shard_seconds = 0.0;
 
   struct Offender {
     std::uint32_t as = 0;
@@ -181,7 +174,6 @@ class ConvergenceTracker {
   // Batch decision-segment totals (mu_-guarded: written by RecordBatch on
   // the control thread, read by Snapshot from any thread).
   double decision_wall_seconds_ = 0.0;
-  double decision_shard_seconds_ = 0.0;
 
   ShardedHistogram e2e_;
   ShardedHistogram queue_wait_;

@@ -34,7 +34,6 @@ constexpr TypeName kTypeNames[] = {
     {JournalEventType::kUpdateCoalesced, "update_coalesced"},
     {JournalEventType::kCompileOptionsChanged, "compile_options_changed"},
     {JournalEventType::kUpdateEnqueued, "update_enqueued"},
-    {JournalEventType::kDecisionOptionsChanged, "decision_options_changed"},
     {JournalEventType::kRuntimeOptionsChanged, "runtime_options_changed"},
     {JournalEventType::kTelemetryOptionsChanged, "telemetry_options_changed"},
 };

@@ -73,12 +73,10 @@ enum class JournalEventType : std::uint8_t {
                            // session hop); arg0=sender AS, arg1=is_announce,
                            // detail=prefix. The ingest stamp ConvergenceTracker
                            // measures queue-wait from.
-  kDecisionOptionsChanged,  // SetDecisionOptions (arg0/arg1 = new/old packed
-                            // {parallel, shards<<1}, arg2 = resolved shards)
   kRuntimeOptionsChanged,   // SdxRuntime::Configure (arg0/arg1 = new/old
                             // packed {compile.parallel, compile.incremental
-                            // <<1, decision.parallel<<2, encoded_vmacs<<3,
-                            // linear_backend<<4}, arg2 = new batch window)
+                            // <<1, encoded_vmacs<<3, linear_backend<<4}; bit
+                            // 2 is unused; arg2 = new batch window)
   kTelemetryOptionsChanged,  // ConfigureTelemetry (arg0/arg1 = new/old packed
                              // {journal, flow<<1, convergence<<2,
                              // timeseries<<3} enabled bits, arg2 = journal

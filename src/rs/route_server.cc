@@ -4,32 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bgp/shard.h"
-#include "obs/timer.h"
-#include "util/thread_pool.h"
-
 namespace sdx::rs {
-
-namespace {
-
-// One buffered observable effect of a worker's decision pass, in the exact
-// order the sequential path would have produced it: either an export-policy
-// suppression noticed during candidate selection or a best-route change.
-struct DecisionEvent {
-  bool is_decision = false;
-  AsNumber receiver = 0;   // suppression payload
-  AsNumber announcer = 0;  // suppression payload
-  BestRouteChange change;  // decision payload
-};
-
-// A worker's verdict for one slot: whether the Adj-RIB-In changed and the
-// ordered effects to replay at merge.
-struct SlotDecision {
-  bool changed = false;
-  std::vector<DecisionEvent> events;
-};
-
-}  // namespace
 
 void RouteServer::RegisterParticipant(AsNumber as,
                                       net::IPv4Address router_id) {
@@ -172,259 +147,6 @@ std::vector<BestRouteChange> RouteServer::HandleUpdate(
     }
   }
   return changes;
-}
-
-std::vector<std::vector<BestRouteChange>> RouteServer::HandleUpdateBatch(
-    std::span<const bgp::CoalescedUpdate> slots, int shards,
-    util::ThreadPool* pool, obs::ShardedCounter* live_updates,
-    DecisionShardStats* stats) {
-  std::vector<std::vector<BestRouteChange>> out;
-  out.reserve(slots.size());
-
-  bool parallel =
-      shards > 1 && pool != nullptr && slots.size() > 1 && !bulk_loading_;
-  if (parallel) {
-    // An unregistered sender must throw mid-batch exactly where the
-    // sequential path would; take that path when it can happen at all.
-    for (const bgp::CoalescedUpdate& slot : slots) {
-      if (!participants_.contains(bgp::UpdateFrom(slot.update))) {
-        parallel = false;
-        break;
-      }
-    }
-  }
-
-  if (!parallel) {
-    const auto start = obs::Now();
-    for (const bgp::CoalescedUpdate& slot : slots) {
-      out.push_back(HandleUpdate(slot.update));
-      if (live_updates != nullptr) live_updates->Increment();
-    }
-    if (stats != nullptr) {
-      stats->parallel = false;
-      stats->shard_seconds = {obs::SecondsSince(start)};
-      stats->shard_updates = {slots.size()};
-    }
-    return out;
-  }
-
-  // --- Fan-out (DESIGN.md §13) -------------------------------------------
-  // Every slot for a prefix lands in one shard (bgp/shard.h), and all the
-  // per-prefix state a decision reads or writes — Adj-RIB-In entries,
-  // announcer sets, Loc-RIB entries — is keyed by prefix. Workers therefore
-  // see exactly the sequential state for their prefixes by reading the
-  // const base through worker-private copy-on-write overlays that carry
-  // their own shard's earlier writes. Nothing shared is mutated here; all
-  // observable effects are buffered per slot and replayed below.
-  const auto shard_lists = bgp::ShardByPrefix(slots, shards);
-  std::vector<SlotDecision> decided(slots.size());
-  std::vector<double> shard_seconds(shard_lists.size(), 0.0);
-  std::vector<std::size_t> shard_updates(shard_lists.size(), 0);
-
-  auto decide_shard = [&](std::size_t s) {
-    const auto start = obs::Now();
-    std::map<AsNumber, bgp::AdjRibInOverlay> adj;
-    std::map<AsNumber, bgp::LocRibOverlay> loc;
-    std::unordered_map<net::IPv4Prefix, std::set<AsNumber>> ann;
-
-    auto adj_overlay = [&](AsNumber as) -> bgp::AdjRibInOverlay& {
-      auto it = adj.find(as);
-      if (it == adj.end()) {
-        auto p = participants_.find(as);
-        it = adj.emplace(as,
-                         bgp::AdjRibInOverlay(p == participants_.end()
-                                                  ? nullptr
-                                                  : &p->second.adj_rib_in))
-                 .first;
-      }
-      return it->second;
-    };
-    auto loc_overlay = [&](AsNumber as) -> bgp::LocRibOverlay& {
-      auto it = loc.find(as);
-      if (it == loc.end()) {
-        auto p = participants_.find(as);
-        it = loc.emplace(as, bgp::LocRibOverlay(p == participants_.end()
-                                                    ? nullptr
-                                                    : &p->second.loc_rib))
-                 .first;
-      }
-      return it->second;
-    };
-    auto ann_set = [&](const net::IPv4Prefix& prefix) -> std::set<AsNumber>& {
-      auto it = ann.find(prefix);
-      if (it == ann.end()) {
-        auto base = announcers_.find(prefix);
-        it = ann.emplace(prefix, base == announcers_.end()
-                                     ? std::set<AsNumber>{}
-                                     : base->second)
-                 .first;
-      }
-      return it->second;
-    };
-    // ExportAllowed with the announcer's adjacency read overlay-first.
-    auto export_allowed = [&](AsNumber announcer, AsNumber receiver,
-                              const net::IPv4Prefix& prefix) {
-      if (announcer == receiver) return false;
-      if (export_denies_.contains({announcer, receiver, prefix})) {
-        return false;
-      }
-      const bgp::BgpRoute* route = adj_overlay(announcer).Find(prefix);
-      if (route != nullptr && !route->communities.empty() &&
-          !bgp::CommunitiesPermitExport(route->communities, receiver,
-                                        rs_as_)) {
-        return false;
-      }
-      return true;
-    };
-
-    for (std::size_t index : shard_lists[s]) {
-      const bgp::BgpUpdate& update = slots[index].update;
-      const AsNumber from = bgp::UpdateFrom(update);
-      const net::IPv4Prefix prefix = bgp::UpdatePrefix(update);
-      SlotDecision& result = decided[index];
-
-      bool changed = false;
-      if (const auto* a = std::get_if<bgp::Announcement>(&update)) {
-        bgp::BgpRoute route = a->route;
-        route.peer_as = from;
-        route.peer_router_id = participants_.at(from).router_id;
-        changed = adj_overlay(from).Set(route);
-        ann_set(prefix).insert(from);
-      } else {
-        changed = adj_overlay(from).Erase(prefix);
-        ann_set(prefix).erase(from);
-      }
-      result.changed = changed;
-      if (live_updates != nullptr) live_updates->Increment();
-      if (!changed) continue;
-
-      for (const auto& [receiver, receiver_state] : participants_) {
-        if (receiver == from) continue;
-        // RecomputeBest against the overlays, buffering its effects.
-        const bgp::BgpRoute* best = nullptr;
-        for (AsNumber announcer_as : ann_set(prefix)) {
-          if (!export_allowed(announcer_as, receiver, prefix)) {
-            if (announcer_as != receiver) {
-              DecisionEvent ev;
-              ev.receiver = receiver;
-              ev.announcer = announcer_as;
-              result.events.push_back(std::move(ev));
-            }
-            continue;
-          }
-          const bgp::BgpRoute* route = adj_overlay(announcer_as).Find(prefix);
-          if (route == nullptr || route->PathContains(receiver)) continue;
-          if (best == nullptr || bgp::CompareRoutes(*route, *best) < 0) {
-            best = route;
-          }
-        }
-        bgp::LocRibOverlay& rib = loc_overlay(receiver);
-        const bgp::BgpRoute* old_entry = rib.Find(prefix);
-        std::optional<bgp::BgpRoute> old_best =
-            old_entry ? std::optional<bgp::BgpRoute>(*old_entry)
-                      : std::nullopt;
-        if (best == nullptr) {
-          if (!old_best) continue;
-          rib.Erase(prefix);
-          DecisionEvent ev;
-          ev.is_decision = true;
-          ev.change =
-              BestRouteChange{receiver, prefix, std::move(old_best),
-                              std::nullopt};
-          result.events.push_back(std::move(ev));
-          continue;
-        }
-        if (old_best && *old_best == *best) continue;
-        const bgp::BgpRoute new_best = *best;  // copy before overlay rehash
-        rib.Set(new_best);
-        DecisionEvent ev;
-        ev.is_decision = true;
-        ev.change =
-            BestRouteChange{receiver, prefix, std::move(old_best), new_best};
-        result.events.push_back(std::move(ev));
-      }
-    }
-    shard_updates[s] = shard_lists[s].size();
-    shard_seconds[s] = obs::SecondsSince(start);
-  };
-  pool->ParallelFor(shard_lists.size(), decide_shard);
-
-  // --- Sequential merge ---------------------------------------------------
-  // Replay every buffered mutation and observable effect in drain order on
-  // the calling thread. The base containers are only ever touched here, so
-  // final state, container insertion order, journal event stream, and
-  // callback order are all identical to the sequential path.
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const bgp::BgpUpdate& update = slots[i].update;
-    const AsNumber from = bgp::UpdateFrom(update);
-    const net::IPv4Prefix prefix = bgp::UpdatePrefix(update);
-    ++updates_processed_;
-    ParticipantState& announcer = participants_.at(from);
-    if (const auto* a = std::get_if<bgp::Announcement>(&update)) {
-      ++announcer.counters.announcements;
-      bgp::BgpRoute route = a->route;
-      route.peer_as = from;
-      route.peer_router_id = announcer.router_id;
-      announcer.adj_rib_in.Announce(route);
-      announcers_[prefix].insert(from);
-    } else {
-      ++announcer.counters.withdrawals;
-      announcer.adj_rib_in.Withdraw(prefix);
-      auto ann = announcers_.find(prefix);
-      if (ann != announcers_.end()) {
-        ann->second.erase(from);
-        if (ann->second.empty()) announcers_.erase(ann);
-      }
-    }
-
-    SlotDecision& result = decided[i];
-    std::vector<BestRouteChange> changes;
-    if (result.changed) {
-      const obs::UpdateId provenance =
-          sinks_.journal != nullptr &&
-                  bgp::UpdateProvenance(update) == obs::kNoUpdateId
-              ? sinks_.journal->current_update_id()
-              : bgp::UpdateProvenance(update);
-      obs::UpdateIdScope ambient(sinks_.journal, provenance);
-      for (DecisionEvent& ev : result.events) {
-        if (!ev.is_decision) {
-          ++export_suppressions_;
-          if (sinks_.journal != nullptr) {
-            sinks_.journal->Record(
-                obs::JournalEventType::kRsExportSuppressed,
-                sinks_.journal->current_update_id(), ev.receiver,
-                ev.announcer, 0, prefix.ToString());
-          }
-          continue;
-        }
-        BestRouteChange& change = ev.change;
-        ParticipantState& state = participants_.at(change.receiver);
-        if (change.new_best) {
-          state.loc_rib.Set(*change.new_best);
-        } else {
-          state.loc_rib.Remove(prefix);
-        }
-        ++state.counters.best_route_changes;
-        if (sinks_.journal != nullptr) {
-          sinks_.journal->Record(
-              obs::JournalEventType::kRsDecision, provenance, change.receiver,
-              change.new_best ? change.new_best->peer_as : 0,
-              change.old_best ? change.old_best->peer_as : 0,
-              prefix.ToString());
-        }
-        changes.push_back(change);
-        if (on_change_) on_change_(change);
-      }
-    }
-    out.push_back(std::move(changes));
-  }
-
-  if (stats != nullptr) {
-    stats->parallel = true;
-    stats->shard_seconds = std::move(shard_seconds);
-    stats->shard_updates = std::move(shard_updates);
-  }
-  return out;
 }
 
 void RouteServer::BeginBulkLoad() { bulk_loading_ = true; }

@@ -21,7 +21,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -31,15 +30,9 @@
 #include "bgp/rib.h"
 #include "bgp/route.h"
 #include "bgp/update.h"
-#include "bgp/update_queue.h"
 #include "net/ipv4.h"
 #include "obs/journal.h"
-#include "obs/sharded.h"
 #include "obs/sinks.h"
-
-namespace sdx::util {
-class ThreadPool;
-}  // namespace sdx::util
 
 namespace sdx::rs {
 
@@ -58,15 +51,6 @@ struct BestRouteChange {
   net::IPv4Prefix prefix;
   std::optional<bgp::BgpRoute> old_best;
   std::optional<bgp::BgpRoute> new_best;  // nullopt = prefix unreachable now
-};
-
-// How one HandleUpdateBatch call split its decision work (DESIGN.md §13).
-// shard_seconds/shard_updates have one entry per shard actually used; on
-// the sequential path both collapse to a single entry and parallel=false.
-struct DecisionShardStats {
-  bool parallel = false;                    // took the fan-out path
-  std::vector<double> shard_seconds;        // per-shard worker wall time
-  std::vector<std::size_t> shard_updates;   // slots decided per shard
 };
 
 class RouteServer {
@@ -130,27 +114,6 @@ class RouteServer {
   // Applies one BGP update from a participant. Returns the best-route
   // changes it caused (also delivered to the subscribed callback).
   std::vector<BestRouteChange> HandleUpdate(const bgp::BgpUpdate& update);
-
-  // Applies one drained batch of coalesced updates; returns the best-route
-  // changes per slot, in drain order. Behavior-equivalent to calling
-  // HandleUpdate per slot (same final state, same journal event stream,
-  // same callback order — tests/test_decision_shards.cc), but when
-  // `shards > 1` and `pool` is non-null the per-prefix decision process
-  // fans out across prefix-hash shards (bgp/shard.h): workers compute
-  // decisions against copy-on-write overlays of the const base state
-  // (bgp::RibOverlay), and a single sequential merge on the calling thread
-  // replays every buffered mutation, journal event, and callback in drain
-  // order. Falls back to the sequential path (exact legacy semantics,
-  // including HandleUpdate's unregistered-sender throw mid-batch) when
-  // sharding cannot apply: shards <= 1, null pool, fewer than two slots,
-  // bulk loading, or any unregistered sender. `live_updates` (nullable) is
-  // incremented once per slot from whichever thread decides it — a live
-  // counter time-series samplers may read concurrently. `stats` (nullable)
-  // reports the per-shard split.
-  std::vector<std::vector<BestRouteChange>> HandleUpdateBatch(
-      std::span<const bgp::CoalescedUpdate> slots, int shards,
-      util::ThreadPool* pool, obs::ShardedCounter* live_updates = nullptr,
-      DecisionShardStats* stats = nullptr);
 
   // Bulk RIB loading: between BeginBulkLoad and EndBulkLoad, HandleUpdate
   // only records routes (no per-receiver best-path recomputation and no

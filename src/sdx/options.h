@@ -27,27 +27,10 @@ struct CompileOptions {
       default;
 };
 
-// How the per-batch BGP decision pass runs (DESIGN.md §13). With the
-// defaults the rib_update stage of ApplyUpdates fans the per-prefix
-// decision process out across prefix-hash shards on the compile pool,
-// falling back to the classic sequential pass whenever sharding cannot
-// help (one shard, no pool, a single slot, bulk loading). Behavior-
-// equivalent either way: identical Loc-RIB/FIB/VNH state, journal stream,
-// and metrics (tests/test_decision_shards.cc, tests/oracle).
-struct DecisionOptions {
-  bool parallel = true;  // fan the decision pass across the compile pool
-  int shards = 0;        // 0 = $SDX_DECISION_SHARDS, else pool thread count;
-                         // clamped to [1, bgp::kMaxDecisionShards]
-
-  friend bool operator==(const DecisionOptions&, const DecisionOptions&) =
-      default;
-};
-
 // The whole knob surface in one value. Defaults reproduce a freshly
 // constructed runtime.
 struct RuntimeOptions {
   CompileOptions compile;
-  DecisionOptions decision;
   // Auto-flush threshold for EnqueueUpdate, in raw (pre-coalesce) updates;
   // 0 = only an explicit Flush()/ApplyUpdates() drains the queue.
   std::size_t batch_window = 0;

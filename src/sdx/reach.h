@@ -53,8 +53,7 @@ using ClauseSetIds = std::map<std::pair<bgp::AsNumber, int>, std::uint32_t>;
 
 // Which VMAC encoding the runtime compiles for. kAuto defers to the
 // SDX_VMAC_ENCODING environment variable ("encoded" / "legacy"), resolved
-// once per FullCompile — mirroring the SDX_DECISION_SHARDS pattern — and
-// defaults to legacy.
+// once per FullCompile, and defaults to legacy.
 enum class VmacEncoding : std::uint8_t { kAuto, kLegacy, kEncoded };
 
 constexpr const char* VmacEncodingName(VmacEncoding encoding) {

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "bgp/shard.h"
 #include "obs/timer.h"
 #include "sdx/bgp_filter.h"
 #include "util/fingerprint.h"
@@ -702,24 +701,6 @@ CompileOptions SdxRuntime::SetCompileOptions(const CompileOptions& options) {
   return previous;
 }
 
-DecisionOptions SdxRuntime::SetDecisionOptions(const DecisionOptions& options) {
-  const DecisionOptions previous = decision_options_;
-  decision_options_ = options;
-  // Journaled like compile-option flips (args: new/old packed
-  // {parallel, shards<<1}, resolved shard count for the next batch).
-  const auto pack = [](const DecisionOptions& o) {
-    return static_cast<std::uint64_t>(o.parallel ? 1 : 0) |
-           (static_cast<std::uint64_t>(o.shards < 0 ? 0 : o.shards) << 1);
-  };
-  obs::JournalRecord(journal_.get(),
-                     obs::JournalEventType::kDecisionOptionsChanged,
-                     journal_ ? journal_->current_update_id()
-                              : obs::kNoUpdateId,
-                     pack(decision_options_), pack(previous),
-                     static_cast<std::uint64_t>(ResolvedDecisionShards()));
-  return previous;
-}
-
 namespace {
 
 VmacEncoding ResolveEncoding(VmacEncoding configured) {
@@ -738,23 +719,20 @@ RuntimeOptions SdxRuntime::Configure(const RuntimeOptions& options) {
   // effects (pool teardown, dirty-state drops) fire exactly when the
   // options actually flip.
   if (options.compile != previous.compile) SetCompileOptions(options.compile);
-  if (options.decision != previous.decision) {
-    SetDecisionOptions(options.decision);
-  }
   batch_window_ = options.batch_window;
   if (options.backend != previous.backend) {
     data_plane_.table().SetBackend(options.backend);
   }
   vmac_encoding_ = options.vmac_encoding;
   // One consolidated audit event regardless of what changed (args: new/old
-  // packed {compile.parallel, compile.incremental<<1, decision.parallel<<2,
-  // encoded<<3, linear_backend<<4}, new batch window).
+  // packed {compile.parallel, compile.incremental<<1, encoded<<3,
+  // linear_backend<<4}, new batch window). Bit 2 is unused and stays 0,
+  // so the other fields keep their positions in older journals.
   const auto pack = [](const RuntimeOptions& o) {
     const bool encoded =
         ResolveEncoding(o.vmac_encoding) == VmacEncoding::kEncoded;
     return static_cast<std::uint64_t>(o.compile.parallel ? 1 : 0) |
            (static_cast<std::uint64_t>(o.compile.incremental ? 1 : 0) << 1) |
-           (static_cast<std::uint64_t>(o.decision.parallel ? 1 : 0) << 2) |
            (static_cast<std::uint64_t>(encoded ? 1 : 0) << 3) |
            (static_cast<std::uint64_t>(
                 o.backend == dataplane::FlowTable::Backend::kLinear ? 1 : 0)
@@ -771,18 +749,6 @@ RuntimeOptions SdxRuntime::Configure(const RuntimeOptions& options) {
 
 VmacEncoding SdxRuntime::ResolvedVmacEncoding() const {
   return ResolveEncoding(vmac_encoding_);
-}
-
-int SdxRuntime::ResolvedDecisionShards() const {
-  if (!decision_options_.parallel) return 1;
-  int want = decision_options_.shards;
-  if (want <= 0) {
-    if (const char* env = std::getenv("SDX_DECISION_SHARDS")) {
-      want = std::atoi(env);
-    }
-  }
-  if (want <= 0) want = util::ThreadPool::DefaultThreadCount();
-  return std::clamp(want, 1, bgp::kMaxDecisionShards);
 }
 
 std::uint64_t SdxRuntime::RosterFingerprint() const {
@@ -1042,22 +1008,11 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
     obs::TraceSpan root(&tracer_, root_span);
     {
       obs::TraceSpan span(&tracer_, "rib_update");
-      // Sharded decision pass (DESIGN.md §13): fan the per-prefix decision
-      // process out across prefix-hash shards on the compile pool, with one
-      // sequential merge inside the route server — behavior-equivalent to
-      // the classic per-slot HandleUpdate loop, which HandleUpdateBatch
-      // falls back to whenever sharding cannot apply.
-      const int shards = ResolvedDecisionShards();
-      util::ThreadPool* pool =
-          shards > 1 && slots.size() > 1 ? CompilePool() : nullptr;
-      rs::DecisionShardStats shard_stats;
-      const auto change_lists = route_server_.HandleUpdateBatch(
-          slots, shards, pool, &decision_updates_, &shard_stats);
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        const bgp::CoalescedUpdate& slot = slots[i];
+      for (const bgp::CoalescedUpdate& slot : slots) {
         const net::IPv4Prefix prefix = bgp::UpdatePrefix(slot.update);
         const obs::UpdateId id = bgp::UpdateProvenance(slot.update);
-        const bool changed = !change_lists[i].empty();
+        const bool changed = !route_server_.HandleUpdate(slot.update).empty();
+        decision_updates_.Increment();
         // Track the prefix even when no best route changed: feasible-route
         // sets (and so clause eligibility) may still differ at the next
         // incremental compile.
@@ -1068,22 +1023,6 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
           cause_of[prefix] = id;
         }
         stats.outcomes.push_back(BatchOutcome{prefix, id, changed});
-      }
-      stats.decision_parallel = shard_stats.parallel;
-      stats.decision_shards =
-          static_cast<int>(shard_stats.shard_seconds.size());
-      stats.decision_shard_seconds = std::move(shard_stats.shard_seconds);
-      stats.decision_shard_updates = std::move(shard_stats.shard_updates);
-      if (stats.decision_parallel) {
-        // Post-hoc per-shard child spans under rib_update, from the
-        // worker-measured durations: convergence attribution and stage
-        // histograms see the decision segment's parallel split.
-        for (std::size_t s = 0; s < stats.decision_shard_seconds.size();
-             ++s) {
-          const std::size_t index = tracer_.BeginSpan(
-              "decision.shard" + std::to_string(s));
-          tracer_.EndSpan(index, stats.decision_shard_seconds[s]);
-        }
       }
     }
     stats.prefixes_changed = changed_order.size();
@@ -1291,29 +1230,10 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
       metrics_.GetCounter("batch.compile_skipped").Increment();
     }
   }
-  // Decision-pass split (DESIGN.md §13): shard count used, per-shard slot
-  // tallies, and how often the fan-out path actually ran. Counters are
-  // merged at batch end on the control thread; the live per-slot tally the
-  // sampler reads concurrently is decision_updates_ (a sharded counter).
-  metrics_.GetGauge("decision.shards")
-      .Set(static_cast<double>(stats.decision_shards));
-  if (stats.decision_parallel) {
-    metrics_.GetCounter("decision.parallel_batches").Increment();
-    for (std::size_t s = 0; s < stats.decision_shard_updates.size(); ++s) {
-      metrics_.GetCounter("decision.shard" + std::to_string(s) + ".updates")
-          .Increment(stats.decision_shard_updates[s]);
-    }
-  } else {
-    metrics_.GetCounter("decision.sequential_batches").Increment();
-  }
-
   if (convergence_ != nullptr) {
     obs::ConvergenceBatch cb;
     cb.end_seconds = convergence_end_seconds;
     cb.batch_seconds = stats.seconds;
-    for (const double shard_seconds : stats.decision_shard_seconds) {
-      cb.decision_shard_seconds += shard_seconds;
-    }
     for (const obs::SpanRecord& span : stats.stages) {
       if (span.parent == obs::SpanRecord::kNoParent) continue;
       if (span.name == "rib_update") {
@@ -1486,13 +1406,13 @@ std::map<std::string, double> SdxRuntime::CollectTimeSeriesValues() const {
     }
   }
   for (const auto& [name, value] : snap.gauges) {
-    if (name.rfind("health.", 0) == 0 || name.rfind("decision.", 0) == 0) {
+    if (name.rfind("health.", 0) == 0) {
       values[name] = value;
     }
   }
-  // Live per-slot decision tally: incremented by decision shard workers
+  // Live per-slot decision tally: incremented by the control thread
   // mid-batch (obs/sharded.h relaxed atomics), so the sampler sees progress
-  // while a batch is in flight, not only after its merge.
+  // while a batch is in flight, not only after it ends.
   values["decision.updates"] =
       static_cast<double>(decision_updates_.value());
   for (const char* name :

@@ -119,19 +119,14 @@ struct BatchStats {
   // readvertise stages were skipped entirely.
   bool compiled = false;
   double seconds = 0.0;
-  // Batch stages, pre-order: rib_update (with one decision.shard<i> child
-  // per shard when the decision pass fanned out), then (when compiled)
+  // Batch stages, pre-order: rib_update, then (when compiled)
   // group_construction, slice_compile, rule_install, readvertise.
   std::vector<obs::SpanRecord> stages;
   // One entry per applied update, in drain order.
   std::vector<BatchOutcome> outcomes;
-  // How the decision pass ran (DESIGN.md §13): shard count actually used,
-  // whether it fanned out, and the per-shard worker seconds / slot counts
-  // (one entry per shard; a single entry on the sequential path).
-  int decision_shards = 1;
+  // Always false: the decision pass is sequential (DESIGN.md §13). Kept
+  // because perfbench's batch.decision_parallel_share still reads it.
   bool decision_parallel = false;
-  std::vector<double> decision_shard_seconds;
-  std::vector<std::size_t> decision_shard_updates;
 };
 
 // Per-participant traffic totals derived from the fabric's port counters
@@ -195,10 +190,10 @@ class SdxRuntime {
 
   // --- Runtime options (the consolidated knob surface) --------------------
   // Applies the whole RuntimeOptions value atomically: compile options,
-  // decision options, batch window, data-plane backend, and VMAC encoding.
-  // Returns the previous options and journals a runtime_options_changed
-  // event; sub-option changes additionally keep their own journal events
-  // (compile_options_changed / decision_options_changed) and side effects.
+  // batch window, data-plane backend, and VMAC encoding. Returns the
+  // previous options and journals a runtime_options_changed event; compile
+  // option changes additionally keep their own compile_options_changed
+  // event and side effects.
   // The VMAC encoding takes effect at the next FullCompile().
   RuntimeOptions Configure(const RuntimeOptions& options);
 
@@ -206,7 +201,6 @@ class SdxRuntime {
   RuntimeOptions runtime_options() const {
     RuntimeOptions out;
     out.compile = options_;
-    out.decision = decision_options_;
     out.batch_window = batch_window_;
     out.backend = data_plane_.table().backend();
     out.vmac_encoding = vmac_encoding_;
@@ -248,16 +242,6 @@ class SdxRuntime {
   // the compiles they affect.
   CompileOptions SetCompileOptions(const CompileOptions& options);
   const CompileOptions& compile_options() const { return options_; }
-
-  // DEPRECATED: use Configure(). Takes effect at the next drained batch.
-  // Returns the previous options and journals a decision_options_changed
-  // event (mirrors SetCompileOptions). The effective shard count also
-  // honors the SDX_DECISION_SHARDS environment knob when `shards` is 0
-  // (see DecisionOptions).
-  DecisionOptions SetDecisionOptions(const DecisionOptions& options);
-  const DecisionOptions& decision_options() const {
-    return decision_options_;
-  }
 
   // --- Traffic ---------------------------------------------------------------
   // Border-router model: FIB lookup + ARP + tag, then the fabric. Empty
@@ -492,11 +476,6 @@ class SdxRuntime {
   // The worker pool per current options (nullptr = compile inline).
   util::ThreadPool* CompilePool();
 
-  // The decision shard count for the next batch: 1 when parallel is off,
-  // else options.shards, else $SDX_DECISION_SHARDS, else the compile
-  // pool's thread count — clamped to [1, bgp::kMaxDecisionShards].
-  int ResolvedDecisionShards() const;
-
   // Behavior-set membership of a single prefix (fast path).
   std::vector<std::uint32_t> SetsContaining(const net::IPv4Prefix& prefix)
       const;
@@ -533,7 +512,6 @@ class SdxRuntime {
 
   // --- Incremental-compilation state (DESIGN.md §8) ----------------------
   CompileOptions options_;
-  DecisionOptions decision_options_;
   // Configured encoding mode; resolved (kAuto → env) at each FullCompile
   // into encoded_active_, which describes the installed rules/ARP answers.
   VmacEncoding vmac_encoding_ = VmacEncoding::kAuto;
@@ -600,10 +578,9 @@ class SdxRuntime {
   // injection-time isolation violations. Sharded: the border-router path
   // is a packet path (obs/sharded.h).
   obs::ShardedDropCounters ingress_drops_;
-  // Updates decided so far, incremented live by whichever thread decides
-  // each slot (decision workers when sharded). The time-series sampler
-  // reads it concurrently as "decision.updates"; SnapshotMetrics syncs it
-  // into the registry.
+  // Updates decided so far, incremented live by the control thread per
+  // slot. The time-series sampler reads it concurrently as
+  // "decision.updates"; SnapshotMetrics syncs it into the registry.
   obs::ShardedCounter decision_updates_;
 
   // --- Health bookkeeping (DESIGN.md §10) --------------------------------

@@ -1,11 +1,15 @@
 // Batched control-plane ingest (DESIGN.md §9): ApplyUpdates coalescing
 // semantics and edge cases, the EnqueueUpdate/Flush batch-window knob,
 // provenance of superseded update ids, compile-skip on no-change batches,
-// and state equivalence with a sequential ApplyBgpUpdate replay. The
-// packet-level equivalence gate lives in tests/oracle.
+// state equivalence with a sequential ApplyBgpUpdate replay, run-to-run
+// determinism of the journal stream, and the live decision.updates counter
+// under a concurrent time-series sampler. The packet-level equivalence
+// gate lives in tests/oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,17 +26,44 @@ constexpr AsNumber kC = 300;
 
 class BatchIngestTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    runtime_.AddParticipant(kA, 1);
-    runtime_.AddParticipant(kB, 2);
-    runtime_.AddParticipant(kC, 1);
-    for (int i = 1; i <= 4; ++i) runtime_.AnnouncePrefix(kB, P(i), {kB, 900});
-    for (int i = 1; i <= 4; ++i) runtime_.AnnouncePrefix(kC, P(i), {kC, 901});
+  void SetUp() override { Populate(runtime_); }
+
+  // The fixture topology: A, B (two ports) and C; B and C announce
+  // P(1..4); A steers web traffic to B. Ends with a FullCompile.
+  static void Populate(SdxRuntime& runtime) {
+    runtime.AddParticipant(kA, 1);
+    runtime.AddParticipant(kB, 2);
+    runtime.AddParticipant(kC, 1);
+    for (int i = 1; i <= 4; ++i) runtime.AnnouncePrefix(kB, P(i), {kB, 900});
+    for (int i = 1; i <= 4; ++i) runtime.AnnouncePrefix(kC, P(i), {kC, 901});
     OutboundClause web;
     web.match = Predicate::DstPort(80);
     web.to = kB;
-    runtime_.SetOutboundPolicy(kA, {web});
-    runtime_.FullCompile();
+    runtime.SetOutboundPolicy(kA, {web});
+    runtime.FullCompile();
+  }
+
+  // `rounds` mixed batches over P(1..8): B and C alternate as announcer
+  // with escalating local-pref, every fifth (round, prefix) is a
+  // withdrawal, and every third prefix flaps twice so coalescing
+  // participates. P(5..8) are announced only here.
+  std::vector<std::vector<bgp::BgpUpdate>> MixedBatches(int rounds) {
+    std::vector<std::vector<bgp::BgpUpdate>> batches;
+    for (int round = 0; round < rounds; ++round) {
+      std::vector<bgp::BgpUpdate> batch;
+      for (int i = 1; i <= 8; ++i) {
+        const AsNumber from = (i + round) % 2 == 0 ? kB : kC;
+        const auto pref = static_cast<std::uint32_t>(round * 8 + i);
+        if (round > 0 && (i + round) % 5 == 0) {
+          batch.push_back(Withdraw(from, P(i)));
+        } else {
+          batch.push_back(Announce(from, P(i), 1000 + pref));
+        }
+        if (i % 3 == 0) batch.push_back(Announce(from, P(i), 2000 + pref));
+      }
+      batches.push_back(std::move(batch));
+    }
+    return batches;
   }
 
   static net::IPv4Prefix P(int i) {
@@ -330,16 +361,7 @@ TEST_F(BatchIngestTest, BatchedStateMatchesSequentialReplay) {
   // A second runtime with identical setup replays the same flap-heavy
   // burst one update at a time through the classic entry point.
   SdxRuntime sequential;
-  sequential.AddParticipant(kA, 1);
-  sequential.AddParticipant(kB, 2);
-  sequential.AddParticipant(kC, 1);
-  for (int i = 1; i <= 4; ++i) sequential.AnnouncePrefix(kB, P(i), {kB, 900});
-  for (int i = 1; i <= 4; ++i) sequential.AnnouncePrefix(kC, P(i), {kC, 901});
-  OutboundClause web;
-  web.match = Predicate::DstPort(80);
-  web.to = kB;
-  sequential.SetOutboundPolicy(kA, {web});
-  sequential.FullCompile();
+  Populate(sequential);
 
   // Interleaved flaps: prefixes 1..4 each re-announced three times with
   // escalating preference, round-robin so coalescing is exercised across
@@ -445,6 +467,97 @@ TEST_F(BatchIngestTest, SinksTrackJournalLifecycle) {
   EXPECT_EQ(stats.updates_applied, 1u);
   runtime_.EnableJournal();
   EXPECT_EQ(runtime_.sinks().journal, runtime_.journal());
+}
+
+// ---------------------------------------------------------------------------
+// Run-to-run determinism: the same fixture and batches twice give a
+// byte-identical journal JSONL (timestamps and measured durations
+// stripped) and identical metric counters, with the compile pool on.
+
+// Removes the "ts":<float> field from every line of ToJsonl() output, and
+// masks the trailing duration arg of *_end events (measured µs — wall
+// clock, not behavior). The remainder must be byte-identical across runs.
+std::string StripTimestamps(const std::string& jsonl) {
+  std::string out;
+  std::size_t pos = 0;
+  while (pos < jsonl.size()) {
+    const std::size_t eol = jsonl.find('\n', pos);
+    const std::size_t end = eol == std::string::npos ? jsonl.size() : eol;
+    std::string line = jsonl.substr(pos, end - pos);
+    const std::size_t ts = line.find("\"ts\":");
+    if (ts != std::string::npos) {
+      const std::size_t comma = line.find(',', ts);
+      if (comma != std::string::npos) line.erase(ts, comma - ts + 1);
+    }
+    if (line.find("_end\"") != std::string::npos) {
+      const std::size_t open = line.find("\"args\": [");
+      const std::size_t close = line.find(']', open);
+      if (open != std::string::npos && close != std::string::npos) {
+        const std::size_t last_comma = line.rfind(',', close);
+        if (last_comma != std::string::npos && last_comma > open) {
+          line.replace(last_comma + 1, close - last_comma - 1, " _");
+        }
+      }
+    }
+    out += line;
+    out += '\n';
+    pos = end + 1;
+  }
+  return out;
+}
+
+TEST_F(BatchIngestTest, ApplyUpdatesIsRunToRunDeterministic) {
+  const auto batches = MixedBatches(/*rounds=*/3);
+  std::string first_journal;
+  std::map<std::string, std::uint64_t> first_counters;
+  for (int run = 0; run < 2; ++run) {
+    auto runtime = std::make_unique<SdxRuntime>();
+    RuntimeOptions options;
+    options.compile.threads = 4;
+    runtime->Configure(options);
+    Populate(*runtime);
+    for (const auto& batch : batches) runtime->ApplyUpdates(batch);
+    const std::string journal = StripTimestamps(runtime->journal()->ToJsonl());
+    const obs::MetricsSnapshot snapshot = runtime->SnapshotMetrics();
+    if (run == 0) {
+      first_journal = journal;
+      first_counters = snapshot.counters;
+      EXPECT_FALSE(first_journal.empty());
+    } else {
+      EXPECT_EQ(first_journal, journal)
+          << "journal JSONL must be byte-identical across runs";
+      EXPECT_EQ(first_counters, snapshot.counters)
+          << "metric counters must be identical across runs";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The live decision.updates counter: the control thread increments it per
+// slot while the time-series sampler thread reads it
+// (CollectTimeSeriesValues) and health is polled between batches. CI runs
+// this under the thread sanitizer; here it asserts the count lands exactly.
+
+TEST_F(BatchIngestTest, LiveDecisionCounterRacesTimeSeriesSampler) {
+  runtime_.EnableConvergenceTracking();
+  runtime_.EnableTimeSeries(/*interval_seconds=*/0.0005);
+  const double base = runtime_.CollectTimeSeriesValues().at("decision.updates");
+
+  std::size_t applied = 0;
+  for (const auto& batch : MixedBatches(/*rounds=*/12)) {
+    applied += runtime_.ApplyUpdates(batch).updates_applied;
+    runtime_.PublishHealth();
+    EXPECT_GE(runtime_.HealthSnapshot().last_decision_seconds, 0.0);
+  }
+  runtime_.SampleTimeSeriesNow();
+  runtime_.DisableTimeSeries();
+
+  const auto values = runtime_.CollectTimeSeriesValues();
+  ASSERT_EQ(values.count("decision.updates"), 1u);
+  EXPECT_EQ(values.at("decision.updates") - base,
+            static_cast<double>(applied));
+  ASSERT_NE(runtime_.timeseries(), nullptr);
+  EXPECT_GT(runtime_.timeseries()->size(), 0u);
 }
 
 }  // namespace

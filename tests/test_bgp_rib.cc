@@ -62,26 +62,6 @@ TEST(LocRib, SetAndRemove) {
   EXPECT_EQ(rib.size(), 0u);
 }
 
-TEST(LocRib, LongestPrefixLookup) {
-  LocRib rib;
-  rib.Set(MakeRoute("10.0.0.0/8", {100}));
-  rib.Set(MakeRoute("10.1.0.0/16", {200}));
-  auto route = rib.Lookup(net::IPv4Address(10, 1, 2, 3));
-  ASSERT_TRUE(route);
-  EXPECT_EQ(route->as_path, std::vector<AsNumber>{200});
-  route = rib.Lookup(net::IPv4Address(10, 2, 0, 1));
-  ASSERT_TRUE(route);
-  EXPECT_EQ(route->as_path, std::vector<AsNumber>{100});
-  EXPECT_FALSE(rib.Lookup(net::IPv4Address(11, 0, 0, 1)));
-}
-
-TEST(LocRib, LookupReflectsRemoval) {
-  LocRib rib;
-  rib.Set(MakeRoute("10.1.0.0/16", {200}));
-  rib.Remove(Pfx("10.1.0.0/16"));
-  EXPECT_FALSE(rib.Lookup(net::IPv4Address(10, 1, 2, 3)));
-}
-
 TEST(LocRib, FilterByAsPath) {
   LocRib rib;
   rib.Set(MakeRoute("10.0.0.0/8", {100, 43515}));

@@ -186,14 +186,15 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, ScenarioLoaderErrors,
     ::testing::Values(
         BadInput{"unknown_directive", "frobnicate 1 2 3\n"},
-        BadInput{"bad_as", "participant abc\n"},
-        BadInput{"bad_prefix", "announce 100 10.0.0.0/99\n"},
+        BadInput{"non_numeric_as_number", "participant abc\n"},
+        BadInput{"rewrite_octet_too_big",
+                 "inbound 100 rewrite=dstip:999.1.1.1\n"},
         BadInput{"noncanonical_prefix", "announce 100 10.1.2.3/8\n"},
         BadInput{"outbound_without_target", "outbound 100 match=dstport:80\n"},
         BadInput{"bad_match_field", "outbound 100 match=color:red to=200\n"},
         BadInput{"bad_match_value", "outbound 100 match=dstport:xx to=200\n"},
-        BadInput{"bad_rewrite", "inbound 100 rewrite=dstip:999.1.1.1\n"},
-        BadInput{"bad_chain", "inbound 100 chain=foo\n"},
+        BadInput{"prefix_length_over_32", "announce 100 10.0.0.0/99\n"},
+        BadInput{"chain_hop_not_as_port", "inbound 100 chain=foo\n"},
         BadInput{"unknown_participant_policy",
                  "outbound 999 match=dstport:80 to=200\n"},
         BadInput{"duplicate_participant", "participant 100 ports=1\n"},

@@ -203,13 +203,9 @@ TEST_F(ConvergenceTrackerTest, FillMetricsAndAppendSeriesExportNames) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime integration, parameterized over the decision shard count: the
-// e2e cases must hold whether the rib_update stage ran sequentially
-// (shards=1) or fanned out across per-shard decision workers (shards=4,
-// DESIGN.md §13) — sharding may add decision.shard<i> sub-spans but must
-// not change what converges or how it is attributed.
+// Runtime integration.
 
-class ConvergenceRuntimeTest : public ::testing::TestWithParam<int> {
+class ConvergenceRuntimeTest : public ::testing::Test {
  protected:
   static constexpr core::AsNumber kA = 100;
   static constexpr core::AsNumber kB = 200;
@@ -220,11 +216,6 @@ class ConvergenceRuntimeTest : public ::testing::TestWithParam<int> {
     for (int i = 1; i <= 8; ++i) {
       runtime_.AnnouncePrefix(kB, P(i), {kB, 900});
     }
-    // Pin the pool so shards=4 fans out regardless of host core count.
-    runtime_.SetCompileOptions(
-        {.parallel = true, .incremental = true, .threads = 4});
-    runtime_.SetDecisionOptions(
-        {.parallel = GetParam() > 1, .shards = GetParam()});
     runtime_.FullCompile();
   }
 
@@ -247,7 +238,7 @@ class ConvergenceRuntimeTest : public ::testing::TestWithParam<int> {
   core::SdxRuntime runtime_;
 };
 
-TEST_P(ConvergenceRuntimeTest, EnqueueFlushProducesEndToEndMeasurements) {
+TEST_F(ConvergenceRuntimeTest, EnqueueFlushProducesEndToEndMeasurements) {
   runtime_.EnableConvergenceTracking();
   for (int i = 1; i <= 4; ++i) {
     runtime_.EnqueueUpdate(Announce(kB, P(i), 1000 + i));
@@ -265,27 +256,12 @@ TEST_P(ConvergenceRuntimeTest, EnqueueFlushProducesEndToEndMeasurements) {
   EXPECT_GE(stats.e2e.max, 0.0);
   EXPECT_EQ(stats.decision.count, 4u);
 
-  // Decision-segment attribution (DESIGN.md §13): the per-shard worker
-  // seconds of the last batch sum to the tracker's shard-time total, and
-  // any decision.shard<i> sub-spans live under the rib_update segment the
-  // decision histogram measures — they never double-count.
-  const core::BatchStats& batch = runtime_.last_batch();
-  EXPECT_EQ(batch.decision_parallel, GetParam() > 1);
-  double shard_sum = 0.0;
-  for (const double seconds : batch.decision_shard_seconds) {
-    shard_sum += seconds;
-  }
-  EXPECT_DOUBLE_EQ(stats.decision_shard_seconds, shard_sum);
+  // Decision-segment attribution: the wall total is the batch's
+  // rib_update segment, observed once per applied update in the decision
+  // histogram.
   EXPECT_NEAR(stats.decision_wall_seconds, stats.decision.sum / 4.0, 1e-9)
       << "wall total must stay the batch rib_update segment, observed once "
          "per applied update in the decision histogram";
-  if (batch.decision_parallel) {
-    std::size_t shard_spans = 0;
-    for (const SpanRecord& span : batch.stages) {
-      if (span.name.rfind("decision.shard", 0) == 0) ++shard_spans;
-    }
-    EXPECT_EQ(shard_spans, batch.decision_shard_seconds.size());
-  }
 
   // The tracker's histograms + counters ride along in SnapshotMetrics.
   const MetricsSnapshot snapshot = runtime_.SnapshotMetrics();
@@ -293,11 +269,9 @@ TEST_P(ConvergenceRuntimeTest, EnqueueFlushProducesEndToEndMeasurements) {
   EXPECT_EQ(snapshot.counters.at("convergence.tracked"), 4u);
   EXPECT_EQ(snapshot.gauges.count("convergence.decision.wall_seconds_total"),
             1u);
-  EXPECT_EQ(snapshot.gauges.count("convergence.decision.shard_seconds_total"),
-            1u);
 }
 
-TEST_P(ConvergenceRuntimeTest, ApplyBgpUpdateFallsBackToBeginStamp) {
+TEST_F(ConvergenceRuntimeTest, ApplyBgpUpdateFallsBackToBeginStamp) {
   // The batch-of-one path has no separate enqueue hop: kBgpUpdateBegin is
   // the ingest stamp, so queue_wait collapses to ~0 but e2e still lands.
   runtime_.EnableConvergenceTracking();
@@ -306,7 +280,7 @@ TEST_P(ConvergenceRuntimeTest, ApplyBgpUpdateFallsBackToBeginStamp) {
   EXPECT_EQ(runtime_.convergence()->chain_truncated(), 0u);
 }
 
-TEST_P(ConvergenceRuntimeTest, JournalRingOverflowCountsTruncated) {
+TEST_F(ConvergenceRuntimeTest, JournalRingOverflowCountsTruncated) {
   // Satellite regression test: a journal ring far smaller than the batch.
   // By the time the batch flushes, the kUpdateEnqueued (and most
   // kBgpUpdateBegin) events of early updates were evicted — those updates
@@ -345,12 +319,6 @@ TEST_P(ConvergenceRuntimeTest, JournalRingOverflowCountsTruncated) {
   EXPECT_GT(runtime_.convergence()->chain_truncated(),
             static_cast<std::uint64_t>(kUpdates - 8));
 }
-
-INSTANTIATE_TEST_SUITE_P(DecisionShards, ConvergenceRuntimeTest,
-                         ::testing::Values(1, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
 
 }  // namespace
 }  // namespace sdx::obs

@@ -39,8 +39,6 @@ RuntimeOptions NonDefaultOptions() {
   RuntimeOptions options;
   options.compile.parallel = false;
   options.compile.incremental = false;
-  options.decision.parallel = false;
-  options.decision.shards = 2;
   options.batch_window = 7;
   options.backend = dataplane::FlowTable::Backend::kLinear;
   options.vmac_encoding = VmacEncoding::kEncoded;
@@ -61,7 +59,6 @@ TEST(RuntimeOptions, ConfigureRoundTripsPreviousValue) {
   EXPECT_EQ(runtime.runtime_options(), custom);
   EXPECT_EQ(runtime.batch_window(), 7u);
   EXPECT_EQ(runtime.compile_options(), custom.compile);
-  EXPECT_EQ(runtime.decision_options(), custom.decision);
   EXPECT_EQ(runtime.vmac_encoding(), VmacEncoding::kEncoded);
   // And back: the returned value restores the starting state exactly.
   EXPECT_EQ(runtime.Configure(defaults), custom);
@@ -75,13 +72,13 @@ TEST(RuntimeOptions, ConfigureJournalsChangeEvent) {
       LastEventOfType(runtime, JournalEventType::kRuntimeOptionsChanged);
   ASSERT_TRUE(event);
   // arg0 = new packed bits {compile.parallel, compile.incremental<<1,
-  // decision.parallel<<2, encoded<<3, linear_backend<<4}; arg2 = new batch
-  // window.
+  // encoded<<3, linear_backend<<4}; bit 2 is unused and stays 0; arg2 = new
+  // batch window.
   EXPECT_EQ(event->arg0, (1ull << 3) | (1ull << 4));
   EXPECT_EQ(event->arg2, 7u);
-  // Old bits: parallel + incremental + decision.parallel set (the encoded
-  // bit depends on what kAuto resolves to in this environment).
-  EXPECT_EQ(event->arg1 & 0b111u, 0b111u);
+  // Old bits: parallel + incremental set, bit 2 clear (the encoded bit
+  // depends on what kAuto resolves to in this environment).
+  EXPECT_EQ(event->arg1 & 0b111u, 0b011u);
 }
 
 TEST(RuntimeOptions, DeprecatedSettersDelegateThroughConfigure) {

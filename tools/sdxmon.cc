@@ -43,10 +43,8 @@
 //   --max-convergence-p99=S  --max-convergence-overhead=R
 //     (absolute bands: after-side convergence p99 ceiling in seconds, and
 //      the convergence.overhead_ratio gauge budget)
-//   --min-fastpath-speedup=R  --min-decision-speedup=R
-//     (absolute gauge floors: compiled-classifier speedup and the sharded
-//      decision-pass speedup measured by fig10 part (c); the decision
-//      floor is off by default — core-count dependent)
+//   --min-fastpath-speedup=R
+//     (absolute gauge floor on the compiled-classifier speedup)
 //   --min-rule-reduction=R
 //     (absolute gauge floor on rules.isdx_reduction — the legacy/encoded
 //      flow-rule ratio measured by fig7's iSDX column; off by default,
@@ -91,7 +89,7 @@ int Usage() {
       "        [--max-batch-counter-rel=R] [--min-batch-counter-abs=N]\n"
       "        [--max-p50-ratio=R] [--max-p95-ratio=R] [--max-p99-ratio=R]\n"
       "        [--noise-floor-us=U] [--max-telemetry-overhead=R]\n"
-      "        [--min-fastpath-speedup=R] [--min-decision-speedup=R]\n"
+      "        [--min-fastpath-speedup=R]\n"
       "        [--min-rule-reduction=R]\n"
       "        [--max-convergence-p99=S]\n"
       "        [--max-convergence-overhead=R]\n"
@@ -279,8 +277,6 @@ int CmdDiff(const std::vector<std::string>& args) {
       options.max_telemetry_overhead = std::stod(value);
     } else if (FlagValue(args[i], "--min-fastpath-speedup", &value)) {
       options.min_fastpath_speedup = std::stod(value);
-    } else if (FlagValue(args[i], "--min-decision-speedup", &value)) {
-      options.min_decision_speedup = std::stod(value);
     } else if (FlagValue(args[i], "--min-rule-reduction", &value)) {
       options.min_rule_reduction = std::stod(value);
     } else if (FlagValue(args[i], "--max-convergence-p99", &value)) {
