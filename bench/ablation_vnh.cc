@@ -6,8 +6,9 @@
 //      lead to millions of forwarding rules"; here we compile both on the
 //      same scenarios and report rule counts. The naive path explodes, so
 //      it only runs at small scale.
-//   2. Control-plane computation (§4.3.1): compilation with and without the
-//      memoization cache on the optimized pipeline.
+//   2. Control-plane computation (§4.3.1): generic parallel composition of
+//      the default-forwarding policy vs the composer's disjoint emission.
+//      (Reuse across compiles is fig8_compile_time's incremental column.)
 #include <cstdio>
 
 #include "obs/timer.h"
@@ -39,41 +40,7 @@ int main() {
                     static_cast<double>(stats.flow_rule_count));
   }
 
-  std::printf("\nAblation 2 (§4.3.1): recompilation with a warm memoization "
-              "cache vs none\n");
-  std::printf("%13s %9s %13s %13s %10s %10s\n", "participants", "prefixes",
-              "warm_sec", "no_cache_sec", "hits", "entries");
-  for (auto [participants, prefixes] :
-       {std::pair{100, 5000}, {200, 5000}, {300, 5000}}) {
-    core::SdxRuntime runtime;
-    auto built = bench::MakeScenario(participants, prefixes, /*seed=*/88,
-                                     /*policy_scale=*/1.0,
-                                     /*coverage_fanout=*/participants);
-    bench::BuildAndCompile(runtime, built);
-
-    core::Composer composer(runtime.topology(), runtime.route_server());
-    auto inbound = composer.BuildInboundPolicies(runtime.participants());
-    policy::CompilationCache cache;
-    composer.Compose(runtime.participants(), inbound, runtime.groups(),
-                     runtime.clause_set_ids(), &cache);  // warm it
-
-    auto start = obs::Now();
-    composer.Compose(runtime.participants(), inbound, runtime.groups(),
-                     runtime.clause_set_ids(), &cache);
-    const double warm_sec = obs::SecondsSince(start);
-    const auto hits = cache.hits();
-
-    start = obs::Now();
-    composer.Compose(runtime.participants(), inbound, runtime.groups(),
-                     runtime.clause_set_ids(), /*cache=*/nullptr);
-    const double no_cache_sec = obs::SecondsSince(start);
-
-    std::printf("%13d %9d %13.3f %13.3f %10llu %10zu\n", participants,
-                prefixes, warm_sec, no_cache_sec,
-                static_cast<unsigned long long>(hits), cache.size());
-  }
-
-  std::printf("\nAblation 3 (§4.3.1): \"most SDX policies are disjoint\" — "
+  std::printf("\nAblation 2 (§4.3.1): \"most SDX policies are disjoint\" — "
               "generic parallel composition of the default-forwarding "
               "policy vs the composer's direct disjoint emission\n");
   std::printf("%13s %9s %8s %15s %17s\n", "participants", "prefixes",
@@ -97,10 +64,9 @@ int main() {
     // group/port directly (linear). Re-measure by timing a full Compose,
     // whose default block uses the direct path.
     core::Composer composer(runtime.topology(), runtime.route_server());
-    auto inbound = composer.BuildInboundPolicies(runtime.participants());
     start = obs::Now();
-    composer.Compose(runtime.participants(), inbound, runtime.groups(),
-                     runtime.clause_set_ids(), nullptr);
+    composer.Compose(runtime.participants(), runtime.groups(),
+                     runtime.clause_set_ids());
     const double disjoint_sec = obs::SecondsSince(start);
 
     std::printf("%13d %9d %8zu %15.3f %17.3f\n", participants, prefixes,
@@ -112,10 +78,9 @@ int main() {
   }
 
   std::printf("\nexpected: naive rules explode super-linearly (the paper's "
-              "\"millions of rules\" motivation); the warm cache removes "
-              "repeated sub-compilations; generic parallel composition of "
-              "the (disjoint) default policy is quadratic while direct "
-              "emission stays linear — and the disjoint column covers the "
-              "ENTIRE compose, not just the default block.\n");
+              "\"millions of rules\" motivation); generic parallel "
+              "composition of the (disjoint) default policy is quadratic "
+              "while direct emission stays linear — and the disjoint column "
+              "covers the ENTIRE compose, not just the default block.\n");
   return 0;
 }

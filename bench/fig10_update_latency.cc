@@ -2,8 +2,8 @@
 // the fast path (route-server decision + VNH allocation + per-prefix
 // policy slice compilation + rule installation + re-advertisement), for
 // 100/200/300 participants; (b) total burst-processing time of the
-// batched ApplyUpdates pipeline (DESIGN.md §9) vs a sequential
-// ApplyBgpUpdate replay of the same flap-heavy burst.
+// batched ApplyUpdates pipeline (DESIGN.md §9) vs a sequential replay of
+// the same flap-heavy burst, one batch of one per update.
 //
 // The paper reports sub-second processing, under 100 ms most of the time,
 // on the Python prototype. The shape to check: heavily sub-second with a
@@ -85,8 +85,12 @@ int main() {
     // Per-update convergence accounting (DESIGN.md §12) over the measured
     // stream; at the largest config a background sampler additionally
     // records the metric trajectory for BENCH_*.timeseries.json.
-    runtime.EnableConvergenceTracking();
-    if (participants == 300) runtime.EnableTimeSeries(/*interval_seconds=*/0.02);
+    obs::TelemetryOptions telemetry = runtime.telemetry_options();
+    telemetry.convergence.enabled = true;
+    if (participants == 300) {
+      telemetry.timeseries = {.enabled = true, .interval_seconds = 0.02};
+    }
+    runtime.ConfigureTelemetry(telemetry);
 
     auto params = workload::UpdateStreamParams::Small(
         /*prefixes=*/4000, /*updates=*/600, /*seed=*/5);
@@ -98,7 +102,7 @@ int main() {
     latencies_ms.reserve(stream.updates.size());
     std::size_t applied = 0;
     for (const auto& update : stream.updates) {
-      auto stats = runtime.ApplyBgpUpdate(update);
+      const core::BatchStats stats = runtime.ApplyUpdates({&update, 1});
       latencies_ms.push_back(stats.seconds * 1e3);
       // Periodic health verdicts so the time-series carries a health.*
       // trajectory (the sampler itself must not inspect the runtime).
@@ -152,8 +156,10 @@ int main() {
   bench::BuildAndCompile(bat, built);
   // Convergence through the batched path: queue-wait + coalesced
   // attribution show up here (part (a) is a batch-of-one per update).
-  bat.EnableConvergenceTracking();
-  bat.EnableTimeSeries(/*interval_seconds=*/0.02);
+  obs::TelemetryOptions telemetry = bat.telemetry_options();
+  telemetry.convergence.enabled = true;
+  telemetry.timeseries = {.enabled = true, .interval_seconds = 0.02};
+  bat.ConfigureTelemetry(telemetry);
 
   bool gate_failed = false;
   std::uint32_t escalation = 500;
@@ -163,7 +169,7 @@ int main() {
                                      burst_size, escalation);
 
     const auto seq_start = std::chrono::steady_clock::now();
-    for (const auto& update : burst) seq.ApplyBgpUpdate(update);
+    for (const auto& update : burst) seq.ApplyUpdates({&update, 1});
     const double seq_s = SecondsSince(seq_start);
 
     const auto bat_start = std::chrono::steady_clock::now();

@@ -48,7 +48,8 @@ int main() {
     bgp::Withdrawal withdrawal;
     withdrawal.from_as = kAsB;
     withdrawal.prefix = *net::IPv4Prefix::Parse("54.230.0.0/16");
-    sdx.ApplyBgpUpdate(bgp::BgpUpdate{withdrawal});
+    const bgp::BgpUpdate update{withdrawal};
+    sdx.ApplyUpdates({&update, 1});
     std::fprintf(stderr, "t=1253: AS B withdrew the route\n");
   });
 

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "oracle.h"
-#include "policy/cache.h"
 #include "sweep_common.h"
 #include "workload/seed.h"
 
@@ -33,27 +32,19 @@ using namespace sdx;
 
 namespace {
 
-core::CompileOptions SequentialOptions() {
-  core::CompileOptions options;
-  options.parallel = false;
-  options.incremental = false;
-  return options;
-}
-
-core::CompileOptions ParallelOptions(int threads) {
-  core::CompileOptions options;
-  options.parallel = true;
-  options.incremental = false;
-  options.threads = threads;
-  return options;
-}
-
-core::CompileOptions IncrementalOptions(int threads) {
-  core::CompileOptions options;
-  options.parallel = true;
-  options.incremental = true;
-  options.threads = threads;
-  return options;
+// Sets one column's compile options (threads = 1 is the sequential
+// column) and, under --no-journal, turns the journal off.
+void ConfigureColumn(core::SdxRuntime& runtime, bool incremental, int threads,
+                     bool journal) {
+  core::RuntimeOptions options;
+  options.compile.incremental = incremental;
+  options.compile.threads = threads;
+  runtime.Configure(options);
+  if (!journal) {
+    obs::TelemetryOptions telemetry;
+    telemetry.journal.enabled = false;
+    runtime.ConfigureTelemetry(telemetry);
+  }
 }
 
 // The representative single-participant change: flip the first clause's
@@ -114,24 +105,25 @@ int main(int argc, char** argv) {
                                        /*coverage_fanout=*/participants);
 
       core::SdxRuntime seq;
-      seq.SetCompileOptions(SequentialOptions());
-      if (!journal) seq.DisableJournal();
+      ConfigureColumn(seq, /*incremental=*/false, /*threads=*/1, journal);
       const auto seq_stats = bench::BuildAndCompile(seq, built);
 
       core::SdxRuntime par;
-      par.SetCompileOptions(ParallelOptions(threads));
-      if (!journal) par.DisableJournal();
+      ConfigureColumn(par, /*incremental=*/false, threads, journal);
       const auto par_stats = bench::BuildAndCompile(par, built);
 
       core::SdxRuntime inc;
-      inc.SetCompileOptions(IncrementalOptions(threads));
-      if (!journal) inc.DisableJournal();
+      ConfigureColumn(inc, /*incremental=*/true, threads, journal);
       // Largest config: record the metric trajectory across the full
       // build + edit + recompile cycle for BENCH_*.timeseries.json
       // (DESIGN.md §12).
       const bool largest = participants == participant_counts.back() &&
                            prefixes == prefix_counts.back();
-      if (largest) inc.EnableTimeSeries(/*interval_seconds=*/0.02);
+      if (largest) {
+        obs::TelemetryOptions telemetry = inc.telemetry_options();
+        telemetry.timeseries = {.enabled = true, .interval_seconds = 0.02};
+        inc.ConfigureTelemetry(telemetry);
+      }
       bench::BuildAndCompile(inc, built);
       if (largest) inc.PublishHealth();
 

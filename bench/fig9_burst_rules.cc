@@ -1,7 +1,8 @@
 // Figure 9: additional forwarding rules installed by the fast path as a
 // function of BGP-update burst size, for 100/200/300 participants —
-// sequential ApplyBgpUpdate replay vs the batched ApplyUpdates pipeline
-// (DESIGN.md §9), with a packet-level oracle check on every burst.
+// sequential replay (one batch of one per update) vs the batched
+// ApplyUpdates pipeline (DESIGN.md §9), with a packet-level oracle check on
+// every burst.
 //
 // Worst-case replay as in the paper: every update in the burst changes the
 // best path (escalating local-pref re-announcements), so the sequential
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
 
       std::size_t seq_rules = 0;
       for (const auto& update : burst) {
-        seq_rules += seq.ApplyBgpUpdate(update).rules_added;
+        seq_rules += seq.ApplyUpdates({&update, 1}).rules_added;
       }
       const core::BatchStats stats = bat.ApplyUpdates(burst);
 

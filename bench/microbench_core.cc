@@ -653,12 +653,15 @@ int RunConvergenceOverheadGate(obs::MetricsRegistry& metrics) {
   std::uint64_t accounted = 0;
   for (int pair = 0; pair < kPairs; ++pair) {
     const double off = pass_seconds();
-    runtime.EnableConvergenceTracking();
+    obs::TelemetryOptions telemetry = runtime.telemetry_options();
+    telemetry.convergence.enabled = true;
+    runtime.ConfigureTelemetry(telemetry);
     run_burst();  // unmeasured: syncs the tracker cursor past the ring
     const double on = pass_seconds();
     accounted = runtime.convergence()->tracked() +
                 runtime.convergence()->coalesced_attributed();
-    runtime.DisableConvergenceTracking();
+    telemetry.convergence.enabled = false;
+    runtime.ConfigureTelemetry(telemetry);
     if (pair < kWarmupPairs) continue;
     off_seconds = std::min(off_seconds, off);
     on_seconds = std::min(on_seconds, on);

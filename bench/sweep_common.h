@@ -86,8 +86,8 @@ inline void WriteMetricsSnapshot(core::SdxRuntime& runtime,
 // (the `sdxmon top` / `sdxmon health` input format, DESIGN.md §12). Takes
 // one final synchronous sample first so the export always ends on the
 // finished state, then stops the sampler thread — the samples stay
-// readable after DisableTimeSeries. No-op when EnableTimeSeries was never
-// called.
+// readable after the time series is turned off. No-op when it was never
+// enabled.
 inline void WriteTimeSeries(core::SdxRuntime& runtime,
                             const std::string& bench_name) {
   if (runtime.timeseries() == nullptr) return;
@@ -96,7 +96,9 @@ inline void WriteTimeSeries(core::SdxRuntime& runtime,
   const double interval = runtime.timeseries_sampler() != nullptr
                               ? runtime.timeseries_sampler()->interval_seconds()
                               : 0.0;
-  runtime.DisableTimeSeries();
+  obs::TelemetryOptions telemetry = runtime.telemetry_options();
+  telemetry.timeseries.enabled = false;
+  runtime.ConfigureTelemetry(telemetry);
   const std::string path = "BENCH_" + bench_name + ".timeseries.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

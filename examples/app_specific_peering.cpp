@@ -57,7 +57,8 @@ int main() {
     bgp::Withdrawal withdrawal;
     withdrawal.from_as = kAsB;
     withdrawal.prefix = *net::IPv4Prefix::Parse("54.230.0.0/16");
-    auto stats = sdx.ApplyBgpUpdate(bgp::BgpUpdate{withdrawal});
+    const bgp::BgpUpdate update{withdrawal};
+    const core::BatchStats stats = sdx.ApplyUpdates({&update, 1});
     std::printf("# t=1253s: AS B withdrew the route (fast path: %zu rules "
                 "in %.1f ms)\n",
                 stats.rules_added, stats.seconds * 1e3);

@@ -179,6 +179,15 @@ bool ScenarioLoader::ProcessLine(std::string_view line, std::string* error) {
     if (error != nullptr) *error = message;
     return false;
   };
+  // Before the first compile an update only loads the RIB; after it, each
+  // one is a batch of one through the fast path.
+  auto apply = [&](const bgp::BgpUpdate& update) {
+    if (compiled_) {
+      runtime_->ApplyUpdates({&update, 1});
+    } else {
+      runtime_->route_server().HandleUpdate(update);
+    }
+  };
 
   // Strip comments.
   auto hash = line.find('#');
@@ -214,11 +223,7 @@ bool ScenarioLoader::ProcessLine(std::string_view line, std::string* error) {
         bgp::Withdrawal withdrawal;
         withdrawal.from_as = as;
         withdrawal.prefix = *prefix;
-        if (compiled_) {
-          runtime_->ApplyBgpUpdate(bgp::BgpUpdate{withdrawal});
-        } else {
-          runtime_->route_server().HandleUpdate(bgp::BgpUpdate{withdrawal});
-        }
+        apply(bgp::BgpUpdate{withdrawal});
         return true;
       }
 
@@ -258,11 +263,7 @@ bool ScenarioLoader::ProcessLine(std::string_view line, std::string* error) {
               bgp::MakeCommunity(high, low));
         }
       }
-      if (compiled_) {
-        runtime_->ApplyBgpUpdate(bgp::BgpUpdate{announcement});
-      } else {
-        runtime_->route_server().HandleUpdate(bgp::BgpUpdate{announcement});
-      }
+      apply(bgp::BgpUpdate{announcement});
       return true;
     }
 

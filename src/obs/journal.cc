@@ -32,7 +32,6 @@ constexpr TypeName kTypeNames[] = {
     {JournalEventType::kBatchBegin, "batch_begin"},
     {JournalEventType::kBatchEnd, "batch_end"},
     {JournalEventType::kUpdateCoalesced, "update_coalesced"},
-    {JournalEventType::kCompileOptionsChanged, "compile_options_changed"},
     {JournalEventType::kUpdateEnqueued, "update_enqueued"},
     {JournalEventType::kRuntimeOptionsChanged, "runtime_options_changed"},
     {JournalEventType::kTelemetryOptionsChanged, "telemetry_options_changed"},

@@ -4,8 +4,8 @@
 //
 // Update ids are assigned monotonically (starting at 1) at the earliest
 // point an update enters the control plane — BgpSession::SendToPeer for
-// session-delivered updates, SdxRuntime::ApplyBgpUpdate for directly
-// injected ones — and threaded through the pipeline as causal provenance:
+// session-delivered updates, SdxRuntime's ingest (ApplyUpdates/
+// EnqueueUpdate) for directly injected ones — and threaded through the pipeline as causal provenance:
 // route-server decision, prefix-group construction, VNH binding, and every
 // flow rule the update ultimately installs or deletes carry the same id.
 // Id 0 (`kNoUpdateId`) marks background/ambient work: setup, bulk RIB
@@ -67,16 +67,14 @@ enum class JournalEventType : std::uint8_t {
                         // the same (peer, prefix); update_id = the LOSER's
                         // provenance id (arg0=winning id, detail=prefix), so
                         // `sdxmon chain <loser>` still explains its fate
-  kCompileOptionsChanged,  // SetCompileOptions (arg0/arg1 = new/old packed
-                           // {parallel, incremental} bits, arg2 = new threads)
   kUpdateEnqueued,         // update entered the batch queue directly (no
                            // session hop); arg0=sender AS, arg1=is_announce,
                            // detail=prefix. The ingest stamp ConvergenceTracker
                            // measures queue-wait from.
   kRuntimeOptionsChanged,   // SdxRuntime::Configure (arg0/arg1 = new/old
-                            // packed {compile.parallel, compile.incremental
-                            // <<1, encoded_vmacs<<3, linear_backend<<4}; bit
-                            // 2 is unused; arg2 = new batch window)
+                            // packed {compile.incremental<<1, encoded_vmacs
+                            // <<3, linear_backend<<4}; bits 0 and 2 are
+                            // unused; arg2 = new batch window)
   kTelemetryOptionsChanged,  // ConfigureTelemetry (arg0/arg1 = new/old packed
                              // {journal, flow<<1, convergence<<2,
                              // timeseries<<3} enabled bits, arg2 = journal

@@ -1,10 +1,8 @@
 #include "policy/compile.h"
 
 namespace sdx::policy {
-namespace {
 
-Classifier CompilePredicateUncached(const Predicate& predicate,
-                                    CompilationCache* cache) {
+Classifier CompilePredicate(const Predicate& predicate) {
   switch (predicate.kind()) {
     case Predicate::Kind::kTrue:
       return Classifier::PassAll();
@@ -14,26 +12,26 @@ Classifier CompilePredicateUncached(const Predicate& predicate,
       return Classifier::Permit(predicate.test());
     case Predicate::Kind::kAnd:
       // Conjunction is sequential composition of filters.
-      return CompilePredicate(predicate.left(), cache)
-          .Sequential(CompilePredicate(predicate.right(), cache));
+      return CompilePredicate(predicate.left())
+          .Sequential(CompilePredicate(predicate.right()));
     case Predicate::Kind::kOr:
       // Disjunction is parallel composition; stay actions dedupe to one.
-      return CompilePredicate(predicate.left(), cache)
-          .Parallel(CompilePredicate(predicate.right(), cache));
+      return CompilePredicate(predicate.left())
+          .Parallel(CompilePredicate(predicate.right()));
     case Predicate::Kind::kNot:
-      return CompilePredicate(predicate.operand(), cache).Negate();
+      return CompilePredicate(predicate.operand()).Negate();
   }
   return Classifier::DropAll();
 }
 
-Classifier CompileUncached(const Policy& policy, CompilationCache* cache) {
+Classifier Compile(const Policy& policy) {
   switch (policy.kind()) {
     case Policy::Kind::kDrop:
       return Classifier::DropAll();
     case Policy::Kind::kIdentity:
       return Classifier::PassAll();
     case Policy::Kind::kFilter:
-      return CompilePredicate(policy.predicate(), cache);
+      return CompilePredicate(policy.predicate());
     case Policy::Kind::kMod:
       return Classifier::Always(
           dataplane::Action{policy.rewrites(), net::kNoPort});
@@ -41,57 +39,31 @@ Classifier CompileUncached(const Policy& policy, CompilationCache* cache) {
       return Classifier::Always(
           dataplane::Action{dataplane::Rewrites(), policy.port()});
     case Policy::Kind::kParallel:
-      return Compile(policy.left(), cache)
-          .Parallel(Compile(policy.right(), cache));
+      return Compile(policy.left()).Parallel(Compile(policy.right()));
     case Policy::Kind::kSequential:
-      return Compile(policy.left(), cache)
-          .Sequential(Compile(policy.right(), cache));
+      return Compile(policy.left()).Sequential(Compile(policy.right()));
     case Policy::Kind::kIf: {
-      Classifier guard = CompilePredicate(policy.predicate(), cache);
-      Classifier then_branch =
-          guard.Sequential(Compile(policy.left(), cache));
+      Classifier guard = CompilePredicate(policy.predicate());
+      Classifier then_branch = guard.Sequential(Compile(policy.left()));
       Classifier else_branch =
-          guard.Negate().Sequential(Compile(policy.right(), cache));
+          guard.Negate().Sequential(Compile(policy.right()));
       return then_branch.Parallel(else_branch);
     }
   }
   return Classifier::DropAll();
 }
 
-}  // namespace
-
-Classifier CompilePredicate(const Predicate& predicate,
-                            CompilationCache* cache) {
-  if (cache != nullptr) {
-    if (const Classifier* hit = cache->Get(predicate.id())) return *hit;
-  }
-  Classifier result = CompilePredicateUncached(predicate, cache);
-  if (cache != nullptr) cache->Put(predicate.id(), predicate.handle(), result);
-  return result;
-}
-
-Classifier Compile(const Policy& policy, CompilationCache* cache) {
-  if (cache != nullptr) {
-    if (const Classifier* hit = cache->Get(policy.id())) return *hit;
-  }
-  Classifier result = CompileUncached(policy, cache);
-  if (cache != nullptr) cache->Put(policy.id(), policy.handle(), result);
-  return result;
-}
-
 std::vector<Classifier> CompileBatch(const std::vector<Policy>& policies,
-                                     CompilationCache* cache,
                                      util::ThreadPool* pool) {
   std::vector<Classifier> out(policies.size());
   if (pool == nullptr) {
     for (std::size_t i = 0; i < policies.size(); ++i) {
-      out[i] = Compile(policies[i], cache);
+      out[i] = Compile(policies[i]);
     }
     return out;
   }
-  pool->ParallelFor(policies.size(), [&](std::size_t i) {
-    out[i] = Compile(policies[i], cache);
-  });
+  pool->ParallelFor(policies.size(),
+                    [&](std::size_t i) { out[i] = Compile(policies[i]); });
   return out;
 }
 

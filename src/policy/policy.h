@@ -72,11 +72,6 @@ class Policy {
 
   std::string ToString() const;
 
-  // Pointer identity for memoization; handle() keeps the node alive so a
-  // cache entry's key cannot be recycled (see CompilationCache).
-  const void* id() const { return node_.get(); }
-  std::shared_ptr<const void> handle() const { return node_; }
-
   friend bool operator==(const Policy& a, const Policy& b) {
     return a.node_ == b.node_;
   }

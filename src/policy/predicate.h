@@ -2,7 +2,7 @@
 // Pyretic-based policy language, §3.1).
 //
 // A predicate is an immutable AST with structural sharing (cheap to copy,
-// safe to reuse across compositions — which the compilation cache exploits).
+// safe to reuse across compositions).
 // Leaves are conjunctive FieldMatches; internal nodes are And/Or/Not.
 #pragma once
 
@@ -66,13 +66,7 @@ class Predicate {
 
   std::string ToString() const;
 
-  // Stable identity for memoization: two Predicates constructed from the
-  // same expression share nodes, so pointer identity is a sound cache key —
-  // provided the cache also retains handle() so the address cannot be
-  // recycled while the entry lives.
-  const void* id() const { return node_.get(); }
-  std::shared_ptr<const void> handle() const { return node_; }
-
+  // Node identity: copies share nodes; separately built expressions do not.
   friend bool operator==(const Predicate& a, const Predicate& b) {
     return a.node_ == b.node_;
   }

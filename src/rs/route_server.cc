@@ -91,8 +91,7 @@ bool RouteServer::WithdrawOrigination(AsNumber as,
   return true;
 }
 
-std::vector<BestRouteChange> RouteServer::HandleUpdate(
-    const bgp::BgpUpdate& update) {
+std::size_t RouteServer::HandleUpdate(const bgp::BgpUpdate& update) {
   ++updates_processed_;
   const AsNumber from = bgp::UpdateFrom(update);
   const net::IPv4Prefix prefix = bgp::UpdatePrefix(update);
@@ -122,8 +121,7 @@ std::vector<BestRouteChange> RouteServer::HandleUpdate(
     }
   }
 
-  std::vector<BestRouteChange> changes;
-  if (!changed || bulk_loading_) return changes;
+  if (!changed || bulk_loading_) return 0;
 
   const obs::UpdateId provenance =
       sinks_.journal != nullptr && bgp::UpdateProvenance(update) == obs::kNoUpdateId
@@ -132,6 +130,7 @@ std::vector<BestRouteChange> RouteServer::HandleUpdate(
   // Scope the ambient id so suppression events inside RecomputeBest inherit
   // this update's provenance too.
   obs::UpdateIdScope ambient(sinks_.journal, provenance);
+  std::size_t changes = 0;
   for (auto& [receiver, state] : participants_) {
     if (receiver == from) continue;
     if (auto change = RecomputeBest(receiver, prefix)) {
@@ -142,7 +141,7 @@ std::vector<BestRouteChange> RouteServer::HandleUpdate(
             change->old_best ? change->old_best->peer_as : 0,
             prefix.ToString());
       }
-      changes.push_back(*change);
+      ++changes;
       if (on_change_) on_change_(*change);
     }
   }

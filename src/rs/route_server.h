@@ -111,9 +111,10 @@ class RouteServer {
   bool WithdrawOrigination(AsNumber as, const net::IPv4Prefix& prefix);
 
   // --- Update processing -------------------------------------------------
-  // Applies one BGP update from a participant. Returns the best-route
-  // changes it caused (also delivered to the subscribed callback).
-  std::vector<BestRouteChange> HandleUpdate(const bgp::BgpUpdate& update);
+  // Applies one BGP update from a participant. Returns how many receivers'
+  // best route it changed; each change is delivered to the subscribed
+  // callback.
+  std::size_t HandleUpdate(const bgp::BgpUpdate& update);
 
   // Bulk RIB loading: between BeginBulkLoad and EndBulkLoad, HandleUpdate
   // only records routes (no per-receiver best-path recomputation and no

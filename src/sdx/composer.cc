@@ -45,27 +45,17 @@ Policy Composer::InboundBlockPolicy(const Participant& participant) const {
          InboundDeliveryPolicy(*topo_, participant);
 }
 
-InboundPolicies Composer::BuildInboundPolicies(
-    const std::map<AsNumber, Participant>& participants) const {
-  InboundPolicies out;
-  for (const auto& [as, participant] : participants) {
-    out.emplace(as, InboundBlockPolicy(participant));
-  }
-  return out;
-}
-
 policy::Classifier Composer::ClauseBlock(AsNumber sender,
                                          const OutboundClause& clause,
                                          const std::vector<GroupId>& group_ids,
-                                         const GroupTable& groups,
-                                         policy::CompilationCache* cache) const {
+                                         const GroupTable& groups) const {
   // Compile the guard once (isolation ∧ clause match → target ingress),
   // then expand it per eligible VMAC — the VMACs are mutually disjoint, so
   // this stays linear in the group count.
   Policy base = Policy::Filter(OutboundIsolation(*topo_, sender) &&
                                clause.match) >>
                 Policy::Fwd(topo_->IngressPort(clause.to));
-  Classifier base_block = Compile(base, cache);
+  Classifier base_block = Compile(base);
   std::vector<Rule> rules;
   rules.reserve(group_ids.size() * base_block.size() + 1);
   for (GroupId id : group_ids) {
@@ -85,8 +75,7 @@ policy::Classifier Composer::ClauseBlock(AsNumber sender,
 }
 
 policy::Classifier Composer::EncodedClauseBlock(
-    AsNumber sender, const OutboundClause& clause, int clause_index,
-    policy::CompilationCache* cache) const {
+    AsNumber sender, const OutboundClause& clause, int clause_index) const {
   // Compile the guard once (isolation ∧ clause match → target ingress),
   // then restrict it to packets whose VMAC carries the encoded marker and
   // this clause's eligibility bit. The ARP responder only sets the bit in
@@ -95,7 +84,7 @@ policy::Classifier Composer::EncodedClauseBlock(
   Policy base = Policy::Filter(OutboundIsolation(*topo_, sender) &&
                                clause.match) >>
                 Policy::Fwd(topo_->IngressPort(clause.to));
-  Classifier base_block = Compile(base, cache);
+  Classifier base_block = Compile(base);
   const net::FieldMatch bit = net::FieldMatch::DstMacMasked(
       EncodeVmac(0, 1u << clause_index),
       kEncodedMarkerMask | (1ull << clause_index));
@@ -115,10 +104,8 @@ policy::Classifier Composer::EncodedClauseBlock(
 
 CompiledSdx Composer::Compose(
     const std::map<AsNumber, Participant>& participants,
-    const InboundPolicies& inbound_policies, const GroupTable& groups,
-    const ClauseSetIds& clause_set_ids,
-    policy::CompilationCache* cache, obs::Tracer* tracer,
-    util::ThreadPool* pool, BlockMemo* memo,
+    const GroupTable& groups, const ClauseSetIds& clause_set_ids,
+    obs::Tracer* tracer, util::ThreadPool* pool, BlockMemo* memo,
     ComposeOutcome* outcome, VmacEncoding encoding,
     const Roster* roster) const {
   const bool encoded = encoding == VmacEncoding::kEncoded;
@@ -130,28 +117,25 @@ CompiledSdx Composer::Compose(
     return encoded && sender.outbound().size() >
                           static_cast<std::size_t>(kEncodedClauseBits);
   };
+  CompiledSdx result;
   // Inbound blocks, compiled once per participant and reused for every
-  // sender that targets them (memoization-friendly: one Policy object each).
-  std::map<AsNumber, Classifier> inbound_blocks;
+  // sender that targets them.
+  InboundBlocks& inbound_blocks = result.inbound_blocks;
   {
     obs::TraceSpan span(tracer, "inbound_blocks");
-    std::vector<AsNumber> order;
     std::vector<Policy> policies;
-    order.reserve(inbound_policies.size());
-    policies.reserve(inbound_policies.size());
-    for (const auto& [as, inbound_policy] : inbound_policies) {
-      order.push_back(as);
-      policies.push_back(inbound_policy);
+    policies.reserve(participants.size());
+    for (const auto& [as, participant] : participants) {
+      policies.push_back(InboundBlockPolicy(participant));
     }
-    std::vector<Classifier> compiled =
-        policy::CompileBatch(policies, cache, pool);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      inbound_blocks.emplace(order[i], std::move(compiled[i]));
+    std::vector<Classifier> compiled = policy::CompileBatch(policies, pool);
+    std::size_t i = 0;
+    for (const auto& [as, participant] : participants) {
+      inbound_blocks.emplace(as, std::move(compiled[i++]));
     }
   }
 
   std::vector<Rule> final_rules;
-  CompiledSdx result;
   // Scratch memo when the caller keeps none: every fingerprint misses.
   BlockMemo scratch;
   BlockMemo& blocks = memo != nullptr ? *memo : scratch;
@@ -264,24 +248,23 @@ CompiledSdx Composer::Compose(
     }
 
     // Pass B (parallel): recompile the stale blocks. Each job writes only
-    // its own memo entry; the shared cache is internally synchronized.
+    // its own memo entry.
     const std::size_t total_jobs = chain_jobs.size() + override_jobs.size();
     auto run_job = [&](std::size_t j) {
       if (j < chain_jobs.size()) {
         ChainJob& job = chain_jobs[j];
-        job.entry->rules = ForwardingRules(Compile(job.policy, cache));
+        job.entry->rules = ForwardingRules(Compile(job.policy));
         return;
       }
       OverrideJob& job = override_jobs[j - chain_jobs.size()];
       if (job.masked) {
         job.entry->rules = ForwardingRules(
-            EncodedClauseBlock(job.sender, *job.clause, job.clause_index,
-                               cache)
+            EncodedClauseBlock(job.sender, *job.clause, job.clause_index)
                 .Sequential(*job.target));
         return;
       }
       job.entry->rules = ForwardingRules(
-          ClauseBlock(job.sender, *job.clause, *job.group_ids, groups, cache)
+          ClauseBlock(job.sender, *job.clause, *job.group_ids, groups)
               .Sequential(*job.target));
     };
     if (pool == nullptr) {
@@ -291,11 +274,10 @@ CompiledSdx Composer::Compose(
     } else {
       // Encoded mode: group the stale jobs into per-participant compilation
       // units — one unit per sender AS, compiled independently on the pool.
-      // A sender's masked clause blocks share the compiled clause guards
-      // (cache locality), and the unit count matches the natural
-      // parallelism of the encoding (rules per sender, not per group).
-      // Pass C below still merges in append_order, so the result is
-      // byte-identical to the sequential path.
+      // The unit count matches the natural parallelism of the encoding
+      // (rules per sender, not per group). Pass C below still merges in
+      // append_order, so the result is byte-identical to the sequential
+      // path.
       std::map<AsNumber, std::vector<std::size_t>> units;
       for (std::size_t j = 0; j < chain_jobs.size(); ++j) {
         units[chain_jobs[j].participant->as()].push_back(j);
@@ -461,17 +443,14 @@ CompiledSdx Composer::Compose(
 
 policy::Classifier Composer::ComposeForGroup(
     const std::map<AsNumber, Participant>& participants,
-    const InboundPolicies& inbound_policies, const AnnotatedGroup& group,
-    const ClauseSetIds& clause_set_ids, policy::CompilationCache* cache,
-    VmacEncoding encoding, const Roster* roster) const {
-  (void)roster;  // kept for signature symmetry with Compose
+    const InboundBlocks& inbound_blocks, const AnnotatedGroup& group,
+    const ClauseSetIds& clause_set_ids, VmacEncoding encoding) const {
   const bool encoded = encoding == VmacEncoding::kEncoded;
   std::vector<Rule> rules;
   const Predicate vmac = Predicate::DstMac(group.binding.vmac);
-  auto inbound_block = [&](AsNumber target) -> std::optional<Classifier> {
-    auto it = inbound_policies.find(target);
-    if (it == inbound_policies.end()) return std::nullopt;
-    return Compile(it->second, cache);  // cache hit after the first update
+  auto inbound_block = [&](AsNumber target) -> const Classifier* {
+    auto it = inbound_blocks.find(target);
+    return it == inbound_blocks.end() ? nullptr : &it->second;
   };
   // Encoded mode: the masked rules from the last full compile already
   // cover the new group for every sender answered with an encoded VMAC —
@@ -494,12 +473,12 @@ policy::Classifier Composer::ComposeForGroup(
                     set_it->second) != group.member_of.end();
       if (!member) continue;
       const OutboundClause& clause = clauses[static_cast<std::size_t>(i)];
-      auto target = inbound_block(clause.to);
-      if (!target) continue;
+      const Classifier* target = inbound_block(clause.to);
+      if (target == nullptr) continue;
       Policy p = Policy::Filter(OutboundIsolation(*topo_, as) &&
                                 clause.match && vmac) >>
                  Policy::Fwd(topo_->IngressPort(clause.to));
-      AppendForwardingRules(Compile(p, cache).Sequential(*target), rules);
+      AppendForwardingRules(Compile(p).Sequential(*target), rules);
     }
   }
 
@@ -507,19 +486,19 @@ policy::Classifier Composer::ComposeForGroup(
     // Per-sender default exceptions for the group.
     for (const auto& [sender, hop] : group.per_sender_best) {
       if (hop == 0) continue;
-      auto target = inbound_block(hop);
-      if (!target) continue;
+      const Classifier* target = inbound_block(hop);
+      if (target == nullptr) continue;
       Policy p = Policy::Filter(OutboundIsolation(*topo_, sender) && vmac) >>
                  Policy::Fwd(topo_->IngressPort(hop));
-      AppendForwardingRules(Compile(p, cache).Sequential(*target), rules);
+      AppendForwardingRules(Compile(p).Sequential(*target), rules);
     }
 
     // Default rule for the group.
     if (group.best_hop != 0) {
-      if (auto target = inbound_block(group.best_hop)) {
+      if (const Classifier* target = inbound_block(group.best_hop)) {
         Policy p = Policy::Filter(vmac) >>
                    Policy::Fwd(topo_->IngressPort(group.best_hop));
-        AppendForwardingRules(Compile(p, cache).Sequential(*target), rules);
+        AppendForwardingRules(Compile(p).Sequential(*target), rules);
       }
     }
   } else {
@@ -530,13 +509,13 @@ policy::Classifier Composer::ComposeForGroup(
       auto it = group.per_sender_best.find(as);
       AsNumber hop =
           it != group.per_sender_best.end() ? it->second : group.best_hop;
-      if (hop == 0 || !inbound_policies.contains(hop)) hop = group.best_hop;
+      if (hop == 0 || !inbound_blocks.contains(hop)) hop = group.best_hop;
       if (hop == 0) continue;
-      auto target = inbound_block(hop);
-      if (!target) continue;
+      const Classifier* target = inbound_block(hop);
+      if (target == nullptr) continue;
       Policy p = Policy::Filter(OutboundIsolation(*topo_, as) && vmac) >>
                  Policy::Fwd(topo_->IngressPort(hop));
-      AppendForwardingRules(Compile(p, cache).Sequential(*target), rules);
+      AppendForwardingRules(Compile(p).Sequential(*target), rules);
     }
   }
 

@@ -17,8 +17,10 @@
 //     compiling a guard — and blocks from different senders are disjoint by
 //     construction (distinct in-ports), so they concatenate without any
 //     cross-product ("most SDX policies are disjoint").
-//   * All sub-policies are compiled through the shared CompilationCache
-//     ("many policy idioms appear more than once").
+//   * Each participant's inbound block compiles once per generation and is
+//     shared by every sender that targets it, by the default block, and by
+//     every fast-path slice until the next full compile ("many policy
+//     idioms appear more than once").
 //
 // Faithful path (BuildFaithfulPolicy): literally (ΣPi'') >> (ΣPi'') over
 // per-peer virtual ports with destination-prefix BGP filters and real
@@ -43,7 +45,6 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "policy/cache.h"
 #include "policy/classifier.h"
 #include "policy/compile.h"
 #include "rs/route_server.h"
@@ -54,8 +55,16 @@
 
 namespace sdx::core {
 
+// Compiled inbound blocks (ingress-port filter >> delivery), one per
+// participant.
+using InboundBlocks = std::map<AsNumber, policy::Classifier>;
+
 struct CompiledSdx {
   policy::Classifier classifier;
+  // The generation's inbound blocks, kept by the runtime so fast-path
+  // slices compose against the same inbound semantics as the installed
+  // rules until the next full compile.
+  InboundBlocks inbound_blocks;
   std::size_t override_rule_count = 0;
   std::size_t default_rule_count = 0;
 };
@@ -95,20 +104,10 @@ struct ComposeOutcome {
   std::size_t blocks_recompiled = 0;
 };
 
-// Per-participant inbound-block policies (ingress filter >> delivery).
-// Built once per compilation generation and shared between the full
-// composition and every fast-path slice, so the pointer-keyed memoization
-// cache actually hits instead of re-compiling fresh ASTs per update.
-using InboundPolicies = std::map<AsNumber, policy::Policy>;
-
 class Composer {
  public:
   Composer(const VirtualTopology& topo, const rs::RouteServer& rs)
       : topo_(&topo), rs_(&rs) {}
-
-  // Builds the shared inbound-block policies for the current participants.
-  InboundPolicies BuildInboundPolicies(
-      const std::map<AsNumber, Participant>& participants) const;
 
   // `tracer` (optional) receives child spans for the composition stages:
   // inbound_blocks / override_blocks / default_blocks.
@@ -130,10 +129,8 @@ class Composer {
   // kAuto is resolved by the runtime before composing); `roster` is
   // required for kEncoded and supplies the next-hop index space.
   CompiledSdx Compose(const std::map<AsNumber, Participant>& participants,
-                      const InboundPolicies& inbound_policies,
                       const GroupTable& groups,
                       const ClauseSetIds& clause_set_ids,
-                      policy::CompilationCache* cache,
                       obs::Tracer* tracer = nullptr,
                       util::ThreadPool* pool = nullptr,
                       BlockMemo* memo = nullptr,
@@ -144,16 +141,15 @@ class Composer {
   // Compiles just the rules affected by one prefix group — the §4.3.2 fast
   // path. Produces the group's default rule plus any override rules whose
   // clause covers a prefix of the group, already sequenced with the
-  // relevant inbound blocks. Under kEncoded the masked rules installed by
-  // the full compile already cover new groups (the ARP answer carries the
-  // bits), so the slice only holds rules for overflow-fallback senders —
-  // usually none.
+  // relevant `inbound_blocks` (those of the last Compose). Under kEncoded
+  // the masked rules installed by the full compile already cover new groups
+  // (the ARP answer carries the bits), so the slice only holds rules for
+  // overflow-fallback senders — usually none.
   policy::Classifier ComposeForGroup(
       const std::map<AsNumber, Participant>& participants,
-      const InboundPolicies& inbound_policies, const AnnotatedGroup& group,
-      const ClauseSetIds& clause_set_ids, policy::CompilationCache* cache,
-      VmacEncoding encoding = VmacEncoding::kLegacy,
-      const Roster* roster = nullptr) const;
+      const InboundBlocks& inbound_blocks, const AnnotatedGroup& group,
+      const ClauseSetIds& clause_set_ids,
+      VmacEncoding encoding = VmacEncoding::kLegacy) const;
 
   // The unoptimized §4.1 composition (validation/ablation only).
   policy::Policy BuildFaithfulPolicy(
@@ -169,8 +165,7 @@ class Composer {
   // the expansion is linear — no cross-products.
   policy::Classifier ClauseBlock(AsNumber sender, const OutboundClause& clause,
                                  const std::vector<GroupId>& group_ids,
-                                 const GroupTable& groups,
-                                 policy::CompilationCache* cache) const;
+                                 const GroupTable& groups) const;
 
   // Encoded-mode counterpart of ClauseBlock: the clause compiled once and
   // restricted to packets whose VMAC carries the 0x0E marker and clause
@@ -178,8 +173,7 @@ class Composer {
   // count-independent and stays valid as groups churn.
   policy::Classifier EncodedClauseBlock(AsNumber sender,
                                         const OutboundClause& clause,
-                                        int clause_index,
-                                        policy::CompilationCache* cache) const;
+                                        int clause_index) const;
 
   const VirtualTopology* topo_;
   const rs::RouteServer* rs_;

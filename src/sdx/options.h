@@ -2,9 +2,7 @@
 //
 // Every per-runtime behavior knob lives in one RuntimeOptions value applied
 // atomically through SdxRuntime::Configure, which journals the change and
-// returns the previous options (the SetCompileOptions contract, runtime-
-// wide). The individual Set* setters survive as thin delegating wrappers
-// for source compatibility; new code should Configure.
+// returns the previous options.
 #pragma once
 
 #include <cstddef>
@@ -19,9 +17,10 @@ namespace sdx::core {
 // memoized result whose inputs provably did not change. Both paths are
 // behavior-equivalent to a sequential from-scratch compile (tests/oracle).
 struct CompileOptions {
-  bool parallel = true;     // use a worker pool for the parallelizable stages
   bool incremental = true;  // reuse unchanged state across FullCompile calls
-  int threads = 0;          // 0 = util::ThreadPool::DefaultThreadCount()
+  // Worker pool size for the parallelizable stages; 1 compiles inline on
+  // the calling thread, 0 = util::ThreadPool::DefaultThreadCount().
+  int threads = 0;
 
   friend bool operator==(const CompileOptions&, const CompileOptions&) =
       default;

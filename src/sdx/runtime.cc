@@ -15,7 +15,7 @@ using obs::SecondsSince;
 
 SdxRuntime::SdxRuntime() : composer_(topology_, route_server_) {
   queue_depth_gauge_ = &metrics_.GetGauge("health.queue_depth");
-  EnableJournal();
+  EnableJournal(telemetry_options_.journal.capacity);
 }
 
 void SdxRuntime::EnableJournal(std::size_t capacity) {
@@ -23,7 +23,6 @@ void SdxRuntime::EnableJournal(std::size_t capacity) {
   route_server_.SetSinks(sinks());
   data_plane_.table().SetJournal(journal_.get());
   if (convergence_ != nullptr) convergence_->AttachJournal(journal_.get());
-  telemetry_options_.journal = {.enabled = true, .capacity = capacity};
 }
 
 void SdxRuntime::DisableJournal() {
@@ -31,20 +30,14 @@ void SdxRuntime::DisableJournal() {
   route_server_.SetSinks(sinks());
   data_plane_.table().SetJournal(nullptr);
   if (convergence_ != nullptr) convergence_->AttachJournal(nullptr);
-  telemetry_options_.journal.enabled = false;
 }
 
 void SdxRuntime::EnableConvergenceTracking(std::size_t max_pending) {
   convergence_ = std::make_unique<obs::ConvergenceTracker>(max_pending);
   convergence_->AttachJournal(journal_.get());
-  telemetry_options_.convergence = {.enabled = true,
-                                    .max_pending = max_pending};
 }
 
-void SdxRuntime::DisableConvergenceTracking() {
-  convergence_.reset();
-  telemetry_options_.convergence.enabled = false;
-}
+void SdxRuntime::DisableConvergenceTracking() { convergence_.reset(); }
 
 void SdxRuntime::EnableTimeSeries(double interval_seconds,
                                   std::size_t capacity) {
@@ -54,14 +47,10 @@ void SdxRuntime::EnableTimeSeries(double interval_seconds,
       timeseries_.get(), [this] { return CollectTimeSeriesValues(); },
       obs::TimeSeriesSampler::Options{interval_seconds});
   sampler_->Start();
-  telemetry_options_.timeseries = {.enabled = true,
-                                   .interval_seconds = interval_seconds,
-                                   .capacity = capacity};
 }
 
 void SdxRuntime::DisableTimeSeries() {
   sampler_.reset();  // joins the sampler thread; the series stays readable
-  telemetry_options_.timeseries.enabled = false;
 }
 
 void SdxRuntime::EnableFlowTelemetry(obs::FlowRecorder::Options options) {
@@ -70,13 +59,11 @@ void SdxRuntime::EnableFlowTelemetry(obs::FlowRecorder::Options options) {
     flow_recorder_->SetPortOwner(port.id, port.owner);
   }
   data_plane_.SetFlowRecorder(flow_recorder_.get());
-  telemetry_options_.flow = {.enabled = true, .options = options};
 }
 
 void SdxRuntime::DisableFlowTelemetry() {
   data_plane_.SetFlowRecorder(nullptr);
   flow_recorder_.reset();
-  telemetry_options_.flow.enabled = false;
 }
 
 obs::TelemetryOptions SdxRuntime::ConfigureTelemetry(
@@ -672,35 +659,6 @@ dataplane::ArpResponder::EncodedEntry SdxRuntime::BuildEncodedArpEntry(
   return entry;
 }
 
-CompileOptions SdxRuntime::SetCompileOptions(const CompileOptions& options) {
-  const CompileOptions previous = options_;
-  options_ = options;
-  if (!options_.parallel) pool_.reset();
-  if (!options_.incremental) {
-    // Drop all dirty-tracking state so the next compile is from scratch.
-    have_previous_compile_ = false;
-    block_memo_.Clear();
-    clause_eligible_.clear();
-    prefix_info_.clear();
-    remote_overridden_.clear();
-  }
-  // Journaled so an option flip is auditable next to the compiles whose
-  // behavior it changes (args: new/old packed {parallel, incremental<<1},
-  // new thread count).
-  const auto pack = [](const CompileOptions& o) {
-    return static_cast<std::uint64_t>(o.parallel ? 1 : 0) |
-           (static_cast<std::uint64_t>(o.incremental ? 1 : 0) << 1);
-  };
-  obs::JournalRecord(journal_.get(),
-                     obs::JournalEventType::kCompileOptionsChanged,
-                     journal_ ? journal_->current_update_id()
-                              : obs::kNoUpdateId,
-                     pack(options_), pack(previous),
-                     static_cast<std::uint64_t>(
-                         options_.threads < 0 ? 0 : options_.threads));
-  return previous;
-}
-
 namespace {
 
 VmacEncoding ResolveEncoding(VmacEncoding configured) {
@@ -715,24 +673,29 @@ VmacEncoding ResolveEncoding(VmacEncoding configured) {
 
 RuntimeOptions SdxRuntime::Configure(const RuntimeOptions& options) {
   const RuntimeOptions previous = runtime_options();
-  // Sub-option setters run only on change so their journal events and side
-  // effects (pool teardown, dirty-state drops) fire exactly when the
-  // options actually flip.
-  if (options.compile != previous.compile) SetCompileOptions(options.compile);
+  options_ = options.compile;
+  // Only a compile-option change drops the dirty-tracking state, so the
+  // compile after it is from scratch.
+  if (options.compile != previous.compile && !options_.incremental) {
+    have_previous_compile_ = false;
+    block_memo_.Clear();
+    clause_eligible_.clear();
+    prefix_info_.clear();
+    remote_overridden_.clear();
+  }
   batch_window_ = options.batch_window;
   if (options.backend != previous.backend) {
     data_plane_.table().SetBackend(options.backend);
   }
   vmac_encoding_ = options.vmac_encoding;
   // One consolidated audit event regardless of what changed (args: new/old
-  // packed {compile.parallel, compile.incremental<<1, encoded<<3,
-  // linear_backend<<4}, new batch window). Bit 2 is unused and stays 0,
-  // so the other fields keep their positions in older journals.
+  // packed {compile.incremental<<1, encoded<<3, linear_backend<<4}, new
+  // batch window). Bits 0 and 2 are unused and stay 0, so the other fields
+  // keep their positions in older journals.
   const auto pack = [](const RuntimeOptions& o) {
     const bool encoded =
         ResolveEncoding(o.vmac_encoding) == VmacEncoding::kEncoded;
-    return static_cast<std::uint64_t>(o.compile.parallel ? 1 : 0) |
-           (static_cast<std::uint64_t>(o.compile.incremental ? 1 : 0) << 1) |
+    return (static_cast<std::uint64_t>(o.compile.incremental ? 1 : 0) << 1) |
            (static_cast<std::uint64_t>(encoded ? 1 : 0) << 3) |
            (static_cast<std::uint64_t>(
                 o.backend == dataplane::FlowTable::Backend::kLinear ? 1 : 0)
@@ -769,11 +732,13 @@ bool SdxRuntime::CanCompileIncrementally() const {
 }
 
 util::ThreadPool* SdxRuntime::CompilePool() {
-  if (!options_.parallel) return nullptr;
   const int want = options_.threads > 0
                        ? options_.threads
                        : util::ThreadPool::DefaultThreadCount();
-  if (want <= 1) return nullptr;
+  if (want <= 1) {
+    pool_.reset();
+    return nullptr;
+  }
   if (pool_ == nullptr || pool_->size() != want) {
     pool_ = std::make_unique<util::ThreadPool>(want);
   }
@@ -820,17 +785,16 @@ CompileStats SdxRuntime::FullCompile() {
     ComposeOutcome outcome;
     {
       obs::TraceSpan span(&tracer_, "policy_composition");
-      // Fresh generation: drop stale memoization entries (old policy
-      // objects are gone) and rebuild the shared inbound-block policies.
       // Cross-generation reuse lives in block_memo_, which stores compiled
-      // RULES keyed by content fingerprints, never cache pointers.
-      cache_.Clear();
-      inbound_policies_ = composer_.BuildInboundPolicies(participants_);
+      // rules keyed by content fingerprints; with incremental compilation
+      // off every block is recompiled. The generation's inbound blocks are
+      // kept for the fast-path slices.
       compiled = composer_.Compose(
-          participants_, inbound_policies_, groups_, clause_set_ids_,
-          &cache_, &tracer_, pool, &block_memo_, &outcome,
+          participants_, groups_, clause_set_ids_, &tracer_, pool,
+          options_.incremental ? &block_memo_ : nullptr, &outcome,
           encoded_active_ ? VmacEncoding::kEncoded : VmacEncoding::kLegacy,
           &roster_);
+      inbound_blocks_ = std::move(compiled.inbound_blocks);
     }
 
     {
@@ -896,23 +860,6 @@ std::vector<std::uint32_t> SdxRuntime::SetsContaining(
   return out;
 }
 
-UpdateStats SdxRuntime::ApplyBgpUpdate(const bgp::BgpUpdate& update) {
-  // A batch of one through the shared pipeline — bypasses the standing
-  // queue (no coalescing against pending updates) and keeps the classic
-  // observable surface: root span "apply_bgp_update", bgp_update.*
-  // metrics, one begin/end journal pair, no batch aggregates.
-  std::vector<bgp::CoalescedUpdate> slots(1);
-  slots[0].update = update;
-  BatchStats batch = RunBatch(std::move(slots), 1, "apply_bgp_update",
-                              "bgp_update", /*aggregate=*/false);
-  UpdateStats stats;
-  stats.best_route_changed = batch.prefixes_changed > 0;
-  stats.rules_added = batch.rules_added;
-  stats.seconds = batch.seconds;
-  stats.stages = std::move(batch.stages);
-  return stats;
-}
-
 void SdxRuntime::StampIngress(bgp::BgpUpdate& update) {
   if (journal_ == nullptr) return;
   if (bgp::UpdateProvenance(update) != obs::kNoUpdateId) return;
@@ -952,14 +899,12 @@ BatchStats SdxRuntime::Flush() {
   oldest_pending_since_.reset();
   queue_depth_gauge_->Set(0.0);
   if (raw == 0) return {};
-  last_batch_ = RunBatch(queue_.Drain(), raw, "apply_update_batch", "batch",
-                         /*aggregate=*/true);
+  last_batch_ = RunBatch(queue_.Drain(), raw);
   return last_batch_;
 }
 
 BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
-                                std::size_t raw_count, const char* root_span,
-                                const char* metric_prefix, bool aggregate) {
+                                std::size_t raw_count) {
   const auto start = obs::Now();
   BatchStats stats;
   stats.updates_in = raw_count;
@@ -967,11 +912,9 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
   stats.updates_coalesced = raw_count - slots.size();
   stats.outcomes.reserve(slots.size());
 
-  if (aggregate) {
-    obs::JournalRecord(journal_.get(), obs::JournalEventType::kBatchBegin,
-                       obs::kNoUpdateId, raw_count, slots.size(),
-                       stats.updates_coalesced);
-  }
+  obs::JournalRecord(journal_.get(), obs::JournalEventType::kBatchBegin,
+                     obs::kNoUpdateId, raw_count, slots.size(),
+                     stats.updates_coalesced);
 
   // Provenance: session-delivered updates arrive pre-stamped (see
   // BgpSession::SendToPeer); directly injected ones get their id here.
@@ -1005,13 +948,13 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
 
   tracer_.Clear();
   {
-    obs::TraceSpan root(&tracer_, root_span);
+    obs::TraceSpan root(&tracer_, "apply_update_batch");
     {
       obs::TraceSpan span(&tracer_, "rib_update");
       for (const bgp::CoalescedUpdate& slot : slots) {
         const net::IPv4Prefix prefix = bgp::UpdatePrefix(slot.update);
         const obs::UpdateId id = bgp::UpdateProvenance(slot.update);
-        const bool changed = !route_server_.HandleUpdate(slot.update).empty();
+        const bool changed = route_server_.HandleUpdate(slot.update) > 0;
         decision_updates_.Increment();
         // Track the prefix even when no best route changed: feasible-route
         // sets (and so clause eligibility) may still differ at the next
@@ -1081,17 +1024,16 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
       }
 
       // One compile pass for the whole batch: slices are independent (the
-      // composer is const and the memo cache is thread-safe first-wins).
+      // composer is const and they only read the generation's inbound
+      // blocks).
       std::vector<policy::Classifier> slices(new_groups.size());
       {
         obs::TraceSpan span(&tracer_, "slice_compile");
         auto compile = [&](std::size_t g) {
           slices[g] = composer_.ComposeForGroup(
-              participants_, inbound_policies_, new_groups[g],
-              clause_set_ids_, &cache_,
+              participants_, inbound_blocks_, new_groups[g], clause_set_ids_,
               encoded_active_ ? VmacEncoding::kEncoded
-                              : VmacEncoding::kLegacy,
-              &roster_);
+                              : VmacEncoding::kLegacy);
         };
         if (pool != nullptr && slices.size() > 1) {
           pool->ParallelFor(slices.size(), compile);
@@ -1208,27 +1150,20 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
                        outcome.cause_id, rules,
                        outcome.best_route_changed ? 1 : 0, micros);
   }
-  if (aggregate) {
-    obs::JournalRecord(journal_.get(), obs::JournalEventType::kBatchEnd,
-                       obs::kNoUpdateId, stats.prefixes_changed,
-                       stats.rules_added, micros);
-  }
+  obs::JournalRecord(journal_.get(), obs::JournalEventType::kBatchEnd,
+                     obs::kNoUpdateId, stats.prefixes_changed,
+                     stats.rules_added, micros);
 
-  metrics_.GetCounter("bgp_update.count").Increment(stats.updates_applied);
   if (updates_changed > 0) {
     metrics_.GetCounter("bgp_update.best_route_changed")
         .Increment(updates_changed);
   }
-  if (aggregate) {
-    metrics_.GetCounter("batch.count").Increment();
-    metrics_.GetHistogram("batch.depth")
-        .Observe(static_cast<double>(raw_count));
-    metrics_.GetCounter("batch.applied").Increment(stats.updates_applied);
-    metrics_.GetCounter("batch.coalesced")
-        .Increment(stats.updates_coalesced);
-    if (!stats.compiled) {
-      metrics_.GetCounter("batch.compile_skipped").Increment();
-    }
+  metrics_.GetCounter("batch.count").Increment();
+  metrics_.GetHistogram("batch.depth").Observe(static_cast<double>(raw_count));
+  metrics_.GetCounter("batch.applied").Increment(stats.updates_applied);
+  metrics_.GetCounter("batch.coalesced").Increment(stats.updates_coalesced);
+  if (!stats.compiled) {
+    metrics_.GetCounter("batch.compile_skipped").Increment();
   }
   if (convergence_ != nullptr) {
     obs::ConvergenceBatch cb;
@@ -1257,7 +1192,7 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
     convergence_->RecordBatch(cb);
   }
 
-  RecordTrace(metric_prefix, stats.seconds);
+  RecordTrace("batch", stats.seconds);
   return stats;
 }
 
@@ -1416,8 +1351,7 @@ std::map<std::string, double> SdxRuntime::CollectTimeSeriesValues() const {
   values["decision.updates"] =
       static_cast<double>(decision_updates_.value());
   for (const char* name :
-       {"batch.depth", "batch.seconds", "bgp_update.seconds",
-        "compile.seconds"}) {
+       {"batch.depth", "batch.seconds", "compile.seconds"}) {
     const auto it = snap.histograms.find(name);
     if (it == snap.histograms.end()) continue;
     const std::string base(name);
@@ -1468,19 +1402,13 @@ obs::MetricsSnapshot SdxRuntime::SnapshotMetrics() {
         .Set(static_cast<double>(flow_recorder_->live_flows()));
   }
 
-  // Compilation state + memoization cache.
+  // Compilation state.
   metrics_.GetGauge("compile.prefix_groups")
       .Set(static_cast<double>(groups_.groups.size()));
   metrics_.GetGauge("compile.fast_path_groups")
       .Set(static_cast<double>(fast_groups_.size()));
   metrics_.GetGauge("compile.vnh_allocated")
       .Set(static_cast<double>(vnh_.allocated_count()));
-  metrics_.GetCounter("cache.hits").Set(cache_.hits());
-  metrics_.GetCounter("cache.misses").Set(cache_.misses());
-  metrics_.GetCounter("cache.evictions").Set(cache_.evictions());
-  metrics_.GetGauge("cache.entries").Set(static_cast<double>(cache_.size()));
-  metrics_.GetGauge("cache.rules")
-      .Set(static_cast<double>(cache_.TotalRules()));
 
   // Decision pass: sync the live sharded tally into the registry.
   metrics_.GetCounter("decision.updates").Set(decision_updates_.value());

@@ -16,15 +16,18 @@
 //                          survivor through the decision process in one
 //                          pass, then do a SINGLE §4.3.2 incremental
 //                          compile + rule install + FIB/VNH re-advertise
-//                          flush for all changed prefixes. EnqueueUpdate/
-//                          Flush/SetBatchWindow expose the same pipeline
-//                          as a standing queue with an auto-flush knob.
-//   * ApplyBgpUpdate()   — one-update convenience wrapper: a batch of one
-//                          through the same pipeline. Sub-second by design.
+//                          flush for all changed prefixes. A single update
+//                          is a batch of one: ApplyUpdates({&u, 1}).
+//                          EnqueueUpdate/Flush expose the same pipeline as
+//                          a standing queue, auto-flushed at the
+//                          RuntimeOptions::batch_window. Sub-second by
+//                          design.
 //
-// Fast-path singletons accumulated by either ingest path are re-coalesced
-// into minimal tables by the next FullCompile() (the background pass of
-// §4.3.2).
+// Every knob is set through Configure (RuntimeOptions) or
+// ConfigureTelemetry (obs::TelemetryOptions).
+//
+// Fast-path singletons accumulated by ingest are re-coalesced into minimal
+// tables by the next FullCompile() (the background pass of §4.3.2).
 //
 // Traffic enters through InjectFromParticipant(), which models the
 // participant's unmodified border router: FIB longest-prefix match, ARP
@@ -54,7 +57,6 @@
 #include "obs/telemetry_options.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "policy/cache.h"
 #include "rs/route_server.h"
 #include "sdx/composer.h"
 #include "sdx/fec.h"
@@ -86,16 +88,6 @@ struct CompileStats {
   // the span tree): recompute_groups{fec_compute, vnh_allocation},
   // readvertise_routes, policy_composition{inbound_blocks, override_blocks,
   // default_blocks, finalize_classifier}, rule_install.
-  std::vector<obs::SpanRecord> stages;
-};
-
-struct UpdateStats {
-  bool best_route_changed = false;
-  std::size_t rules_added = 0;
-  double seconds = 0.0;
-  // §4.3.2 fast-path stages: rib_update, group_construction, slice_compile,
-  // rule_install, readvertise (absent when the update changed no best
-  // route).
   std::vector<obs::SpanRecord> stages;
 };
 
@@ -168,16 +160,15 @@ class SdxRuntime {
 
   // --- Compilation ----------------------------------------------------------
   CompileStats FullCompile();
-  UpdateStats ApplyBgpUpdate(const bgp::BgpUpdate& update);
 
   // --- Batched ingest (DESIGN.md §9) -------------------------------------
   // Absorbs `updates` (plus anything already pending via EnqueueUpdate)
   // into one batch: coalesce per (peer, prefix) last-writer-wins, apply
   // every survivor to the route server, then run ONE fast-path compile +
   // rule install + re-advertise flush covering all changed prefixes.
-  // Behavior-equivalent to replaying the same updates one at a time
-  // through ApplyBgpUpdate (tests/oracle), at a fraction of the cost on
-  // flap-heavy bursts.
+  // Behavior-equivalent to replaying the same updates one at a time as
+  // batches of one (tests/oracle), at a fraction of the cost on flap-heavy
+  // bursts.
   BatchStats ApplyUpdates(std::span<const bgp::BgpUpdate> updates);
 
   // Queues one update without draining. Returns true when reaching the
@@ -191,10 +182,10 @@ class SdxRuntime {
   // --- Runtime options (the consolidated knob surface) --------------------
   // Applies the whole RuntimeOptions value atomically: compile options,
   // batch window, data-plane backend, and VMAC encoding. Returns the
-  // previous options and journals a runtime_options_changed event; compile
-  // option changes additionally keep their own compile_options_changed
-  // event and side effects.
-  // The VMAC encoding takes effect at the next FullCompile().
+  // previous options and journals a runtime_options_changed event. Compile
+  // options and the VMAC encoding take effect at the next FullCompile();
+  // turning compile.incremental off also drops all dirty-tracking state,
+  // so that compile is from scratch.
   RuntimeOptions Configure(const RuntimeOptions& options);
 
   // The current consolidated options (what Configure would return).
@@ -218,14 +209,6 @@ class SdxRuntime {
   // next-hop index space).
   const Roster& roster() const { return roster_; }
 
-  // DEPRECATED: use Configure(). Auto-flush threshold for EnqueueUpdate,
-  // counted in raw (pre-coalesce) updates. 0 (the default) means only an
-  // explicit Flush()/ApplyUpdates() drains the queue.
-  void SetBatchWindow(std::size_t max_pending) {
-    RuntimeOptions options = runtime_options();
-    options.batch_window = max_pending;
-    Configure(options);
-  }
   std::size_t batch_window() const { return batch_window_; }
 
   // Raw updates currently queued (pre-coalesce count).
@@ -235,12 +218,6 @@ class SdxRuntime {
   // included).
   const BatchStats& last_batch() const { return last_batch_; }
 
-  // DEPRECATED: use Configure(). Takes effect at the next FullCompile().
-  // Turning `incremental` off also drops all dirty-tracking state, so the
-  // next compile is from scratch. Returns the previous options and journals
-  // a compile_options_changed event, so option flips are auditable next to
-  // the compiles they affect.
-  CompileOptions SetCompileOptions(const CompileOptions& options);
   const CompileOptions& compile_options() const { return options_; }
 
   // --- Traffic ---------------------------------------------------------------
@@ -262,15 +239,6 @@ class SdxRuntime {
   std::vector<dataplane::Emission> InjectFromParticipantBatch(
       AsNumber as, std::span<const net::Packet> packets);
 
-  // DEPRECATED: use Configure(). Selects the data-plane lookup backend
-  // (DESIGN.md §11): kCompiled is the production fast path, kLinear the
-  // reference scan the equivalence oracle diffs against.
-  void SetDataPlaneBackend(dataplane::FlowTable::Backend backend) {
-    RuntimeOptions options = runtime_options();
-    options.backend = backend;
-    Configure(options);
-  }
-
   // --- Introspection -----------------------------------------------------------
   rs::RouteServer& route_server() { return route_server_; }
   const rs::RouteServer& route_server() const { return route_server_; }
@@ -280,7 +248,6 @@ class SdxRuntime {
   const GroupTable& groups() const { return groups_; }
   const Participant* FindParticipant(AsNumber as) const;
   const BorderRouter* FindRouter(AsNumber as) const;
-  const policy::CompilationCache& cache() const { return cache_; }
   const std::map<AsNumber, Participant>& participants() const {
     return participants_;
   }
@@ -292,13 +259,13 @@ class SdxRuntime {
 
   // --- Observability -----------------------------------------------------
   // The runtime-wide metrics registry. Compile/update latency histograms
-  // are recorded live; component counters (drops, cache, route server,
-  // traffic) are synced into it by SnapshotMetrics().
+  // are recorded live; component counters (drops, route server, traffic)
+  // are synced into it by SnapshotMetrics().
   obs::MetricsRegistry& metrics() { return metrics_; }
 
   // The runtime's observability backends bundled for construction-time
   // wiring of components (obs/sinks.h). The journal member tracks
-  // Enable/DisableJournal — grab a fresh copy after toggling.
+  // ConfigureTelemetry — grab a fresh copy after toggling the journal.
   obs::Sinks sinks() {
     return obs::Sinks{.metrics = &metrics_,
                       .journal = journal_.get(),
@@ -306,7 +273,7 @@ class SdxRuntime {
                       .flows = flow_recorder_.get()};
   }
 
-  // Span tree of the most recent FullCompile()/ApplyBgpUpdate().
+  // Span tree of the most recent FullCompile() or drained batch.
   const obs::Tracer& last_trace() const { return tracer_; }
 
   // --- Consolidated telemetry configuration -------------------------------
@@ -315,14 +282,30 @@ class SdxRuntime {
   // subsystems whose options actually changed are touched, so repeated
   // Configure calls with the same value never recreate a recorder.
   // Returns the previous options and journals a telemetry_options_changed
-  // event into the (possibly new) journal. The four Enable*/Disable* pairs
-  // below survive as thin delegating wrappers; new code should use this.
-  // Ordering caveat folded in: the time-series sampler is stopped before
-  // the convergence tracker it reads is replaced, then restarted.
+  // event into the (possibly new) journal. Ordering caveat folded in: the
+  // time-series sampler is stopped before the convergence tracker it reads
+  // is replaced, then restarted.
+  //
+  // What each subsystem does when (re)enabled:
+  //   * journal — recreated at `capacity` (also how tests shrink the ring)
+  //     and rewired into the route server and flow table. Sessions
+  //     connected by a SessionFrontend before the change keep their old
+  //     pointer — (re)enable before connecting sessions.
+  //   * flow — sampled flow export (DESIGN.md §10): a new recorder seeded
+  //     with the topology's port→participant map (records in the old one
+  //     are dropped — Drain first).
+  //   * convergence — per-update end-to-end convergence latency (DESIGN.md
+  //     §12): ingest-stamped provenance ids matched against batch flush
+  //     completion, decomposed into queue_wait/decision/compile/flush.
+  //     Reads ingest stamps from the journal — with the journal disabled
+  //     every update counts as chain-truncated.
+  //   * timeseries — a background thread sampling CollectTimeSeriesValues()
+  //     every `interval_seconds` into a ring of `capacity` samples. Turning
+  //     it off stops the thread but keeps the samples readable via
+  //     timeseries() until it is next enabled.
   obs::TelemetryOptions ConfigureTelemetry(const obs::TelemetryOptions& options);
 
-  // The current consolidated telemetry options (kept in sync by the
-  // Enable*/Disable* wrappers too).
+  // The current consolidated telemetry options.
   const obs::TelemetryOptions& telemetry_options() const {
     return telemetry_options_;
   }
@@ -336,21 +319,7 @@ class SdxRuntime {
   obs::Journal* journal() { return journal_.get(); }
   const obs::Journal* journal() const { return journal_.get(); }
 
-  // Recreates the journal at `capacity` (also how tests shrink the ring)
-  // and rewires the route server and flow table. Sessions connected by a
-  // SessionFrontend before the call keep their old pointer — (re)enable
-  // before connecting sessions.
-  void EnableJournal(std::size_t capacity = obs::Journal::kDefaultCapacity);
-  // Detaches and destroys the journal; all recording becomes a no-op.
-  void DisableJournal();
-
-  // Sampled flow export (DESIGN.md §10, disabled by default): creates the
-  // recorder, seeds its port→participant map from the topology, and wires
-  // it into the data plane. Re-enabling replaces the recorder (records in
-  // the old one are dropped — Drain first).
-  void EnableFlowTelemetry(obs::FlowRecorder::Options options = {});
-  // Detaches and destroys the recorder; packet sampling stops.
-  void DisableFlowTelemetry();
+  // Sampled flow export; nullptr unless enabled through ConfigureTelemetry.
   obs::FlowRecorder* flow_recorder() { return flow_recorder_.get(); }
 
   // One-stop runtime health introspection, evaluated against `thresholds`
@@ -367,30 +336,13 @@ class SdxRuntime {
   // from the control thread while sampling.
   obs::HealthReport PublishHealth(const obs::HealthThresholds& thresholds = {});
 
-  // --- Convergence tracking (DESIGN.md §12) ------------------------------
-  // Per-update end-to-end convergence latency: ingest-stamped provenance
-  // ids matched against batch flush completion, decomposed into
-  // queue_wait/decision/compile/flush segments. Reads ingest stamps from
-  // the journal — with the journal disabled every update counts as
-  // chain-truncated. Disabled by default (zero cost when off).
-  void EnableConvergenceTracking(
-      std::size_t max_pending = std::size_t{1} << 16);
-  // Stop the time-series sampler (DisableTimeSeries) before disabling if
-  // it was enabled after the tracker — the sampler reads the tracker.
-  void DisableConvergenceTracking();
+  // --- Convergence + time series (DESIGN.md §12) -------------------------
+  // Both off by default (zero cost when off); see ConfigureTelemetry.
   obs::ConvergenceTracker* convergence() { return convergence_.get(); }
   const obs::ConvergenceTracker* convergence() const {
     return convergence_.get();
   }
 
-  // --- Time-series telemetry (DESIGN.md §12) -----------------------------
-  // Starts a background thread sampling CollectTimeSeriesValues() every
-  // `interval_seconds` into a ring of `capacity` samples. Re-enabling
-  // replaces the series; DisableTimeSeries stops the thread but keeps the
-  // collected samples readable via timeseries() until the next enable.
-  void EnableTimeSeries(double interval_seconds = 0.05,
-                        std::size_t capacity = obs::TimeSeries::kDefaultCapacity);
-  void DisableTimeSeries();
   obs::TimeSeries* timeseries() { return timeseries_.get(); }
   obs::TimeSeriesSampler* timeseries_sampler() { return sampler_.get(); }
   // One synchronous sample (benches take a final sample before export).
@@ -426,6 +378,17 @@ class SdxRuntime {
   static constexpr std::int32_t kFastPathPriorityBase = 1'000'000;
   static constexpr dataplane::Cookie kFastPathCookie = 1;
 
+  // ConfigureTelemetry's per-subsystem steps; each (re)creates or destroys
+  // one recorder and rewires the components that hold it.
+  void EnableJournal(std::size_t capacity);
+  void DisableJournal();
+  void EnableFlowTelemetry(obs::FlowRecorder::Options options);
+  void DisableFlowTelemetry();
+  void EnableConvergenceTracking(std::size_t max_pending);
+  void DisableConvergenceTracking();
+  void EnableTimeSeries(double interval_seconds, std::size_t capacity);
+  void DisableTimeSeries();
+
   // Rebuilds behavior sets + FEC groups + VNH bindings from current
   // policies and RIBs. Emits fec_compute / vnh_allocation child spans.
   // When `incremental`, reuses memoized per-clause eligible sets and
@@ -440,17 +403,13 @@ class SdxRuntime {
   // and `<prefix>.stage.<name>.seconds` histograms.
   void RecordTrace(const char* prefix, double total_seconds);
 
-  // The shared batch pipeline behind ApplyUpdates/Flush/ApplyBgpUpdate:
-  // journals provenance (coalesced losers, per-update begin/end), applies
+  // The batch pipeline behind ApplyUpdates/Flush: journals provenance
+  // (batch begin/end, coalesced losers, per-update begin/end), applies
   // every slot to the route server, and — when any best route changed —
   // runs one grouped fast-path compile/install/readvertise flush.
-  // `raw_count` is the pre-coalesce update count; `aggregate` adds the
-  // batch_begin/batch_end journal events and batch.* metrics (off for the
-  // single-update wrapper, which must look exactly like the classic
-  // ApplyBgpUpdate to observers).
+  // `raw_count` is the pre-coalesce update count.
   BatchStats RunBatch(std::vector<bgp::CoalescedUpdate> slots,
-                      std::size_t raw_count, const char* root_span,
-                      const char* metric_prefix, bool aggregate);
+                      std::size_t raw_count);
 
   // Ingest-time provenance: assigns an id to a not-yet-stamped update and
   // journals kUpdateEnqueued, so queue-wait is measurable from the moment
@@ -505,10 +464,9 @@ class SdxRuntime {
   GroupTable groups_;
   ClauseSetIds clause_set_ids_;
   Composer composer_;
-  // Inbound-block policies of the current compilation generation, shared
-  // with every fast-path slice so memoization hits across updates.
-  InboundPolicies inbound_policies_;
-  policy::CompilationCache cache_;
+  // Compiled inbound blocks of the current generation: every fast-path
+  // slice composes against them until the next FullCompile.
+  InboundBlocks inbound_blocks_;
 
   // --- Incremental-compilation state (DESIGN.md §8) ----------------------
   CompileOptions options_;
@@ -518,8 +476,7 @@ class SdxRuntime {
   bool encoded_active_ = false;
   // Participant numbering of the last FullCompile (encoded next-hop space).
   Roster roster_;
-  // Consolidated telemetry view, kept in sync by ConfigureTelemetry and
-  // the Enable*/Disable* wrappers.
+  // What ConfigureTelemetry last applied.
   obs::TelemetryOptions telemetry_options_;
   std::unique_ptr<util::ThreadPool> pool_;
   BlockMemo block_memo_;

@@ -12,13 +12,13 @@ bool TwoStageScheduler::MaybeOptimize(double now_s, bool force) {
   return true;
 }
 
-UpdateStats TwoStageScheduler::OnUpdate(const bgp::BgpUpdate& update) {
+BatchStats TwoStageScheduler::OnUpdate(const bgp::BgpUpdate& update) {
   const double now_s = static_cast<double>(bgp::UpdateTime(update)) / 1e6;
   // A long gap before this update means the previous burst ended: coalesce
   // its fast-path rules before handling the new burst.
   MaybeOptimize(now_s, /*force=*/false);
   last_update_s_ = now_s;
-  UpdateStats stats = runtime_->ApplyBgpUpdate(update);
+  BatchStats stats = runtime_->ApplyUpdates({&update, 1});
   ++fast_path_runs_;
   // Under a continuous stream, the outstanding-group cap still bounds
   // table growth.

@@ -39,8 +39,8 @@ class TwoStageScheduler {
 
   // Applies one update at its timestamp through the fast path. May trigger
   // a background pass FIRST if the gap since the previous update exceeded
-  // the idle threshold. Returns the fast-path stats.
-  UpdateStats OnUpdate(const bgp::BgpUpdate& update);
+  // the idle threshold. Returns the stats of the update's batch of one.
+  BatchStats OnUpdate(const bgp::BgpUpdate& update);
 
   // Advances the clock without an update (e.g. a periodic timer); runs the
   // background pass when the stream has been quiet long enough.

@@ -36,7 +36,7 @@ class FlowSimulator {
       : runtime_(&runtime), flows_(std::move(flows)) {}
 
   // Schedules a control action (e.g. install a policy + FullCompile, or
-  // ApplyBgpUpdate) at time `at`.
+  // ApplyUpdates) at time `at`.
   void ScheduleControl(SimTime at, std::function<void()> action);
 
   // Runs [0, duration) sampling every `interval` seconds; returns one

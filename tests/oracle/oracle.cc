@@ -98,17 +98,6 @@ OracleResult ComparePacketBehavior(core::SdxRuntime& lhs,
 std::unique_ptr<core::SdxRuntime> BuildRuntime(
     const workload::IxpScenario& scenario,
     const workload::GeneratedPolicies& policies,
-    const core::CompileOptions& options) {
-  auto runtime = std::make_unique<core::SdxRuntime>();
-  runtime->SetCompileOptions(options);
-  workload::Install(*runtime, scenario, policies);
-  runtime->FullCompile();
-  return runtime;
-}
-
-std::unique_ptr<core::SdxRuntime> BuildRuntime(
-    const workload::IxpScenario& scenario,
-    const workload::GeneratedPolicies& policies,
     const core::RuntimeOptions& options) {
   auto runtime = std::make_unique<core::SdxRuntime>();
   runtime->Configure(options);

@@ -46,16 +46,9 @@ OracleResult ComparePacketBehavior(core::SdxRuntime& lhs,
                                    const workload::IxpScenario& scenario,
                                    std::uint64_t seed, std::size_t count);
 
-// Convenience: a runtime loaded with the scenario + policies, compiled
-// under `options`. The returned runtime has had exactly one FullCompile.
-std::unique_ptr<core::SdxRuntime> BuildRuntime(
-    const workload::IxpScenario& scenario,
-    const workload::GeneratedPolicies& policies,
-    const core::CompileOptions& options);
-
-// As above, but configured with the full RuntimeOptions value. The
-// encoding-mode oracle legs use this to pin vmac_encoding explicitly
-// (kLegacy vs kEncoded) instead of inheriting SDX_VMAC_ENCODING.
+// Convenience: a runtime configured with `options`, loaded with the
+// scenario + policies, and compiled. The returned runtime has had exactly
+// one FullCompile.
 std::unique_ptr<core::SdxRuntime> BuildRuntime(
     const workload::IxpScenario& scenario,
     const workload::GeneratedPolicies& policies,

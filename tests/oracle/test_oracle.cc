@@ -17,31 +17,29 @@
 namespace sdx::oracle {
 namespace {
 
-using core::CompileOptions;
+using core::RuntimeOptions;
 using core::SdxRuntime;
 
 constexpr std::uint64_t kSeed = 0x5d1c0ffee0ddba11ull;
 
-CompileOptions Sequential() {
-  CompileOptions options;
-  options.parallel = false;
-  options.incremental = false;
+RuntimeOptions Sequential() {
+  RuntimeOptions options;
+  options.compile.incremental = false;
+  options.compile.threads = 1;
   return options;
 }
 
-CompileOptions Parallel(int threads = 4) {
-  CompileOptions options;
-  options.parallel = true;
-  options.incremental = false;
-  options.threads = threads;
+RuntimeOptions Parallel(int threads = 4) {
+  RuntimeOptions options;
+  options.compile.incremental = false;
+  options.compile.threads = threads;
   return options;
 }
 
-CompileOptions Incremental(int threads = 4) {
-  CompileOptions options;
-  options.parallel = true;
-  options.incremental = true;
-  options.threads = threads;
+RuntimeOptions Incremental(int threads = 4) {
+  RuntimeOptions options;
+  options.compile.incremental = true;
+  options.compile.threads = threads;
   return options;
 }
 
@@ -127,8 +125,8 @@ TEST(Oracle, IncrementalAfterBgpChurnMatchesSequential) {
   // scratch at the end.
   auto seq = BuildRuntime(fixture.scenario, fixture.policies, Sequential());
   for (const auto& update : stream.updates) {
-    inc->ApplyBgpUpdate(update);
-    seq->ApplyBgpUpdate(update);
+    inc->ApplyUpdates({&update, 1});
+    seq->ApplyUpdates({&update, 1});
   }
   seq->FullCompile();
   const core::CompileStats stats = inc->FullCompile();
@@ -170,17 +168,17 @@ TEST(Oracle, IncrementalAfterFecVnhChangeMatchesSequential) {
   EXPECT_TRUE(result.equivalent) << result.report;
 }
 
-// Hand-built Figure-1-style check that a cached classifier never survives
-// a policy edit: after retargeting the web clause the packet must follow
-// the new policy, and the incremental compile must agree with a sequential
-// rebuild of the same state.
+// Hand-built Figure-1-style check that a memoized compiled block
+// (BlockMemo) never survives a policy edit: after retargeting the web
+// clause the packet must follow the new policy, and the incremental compile
+// must agree with a sequential rebuild of the same state.
 TEST(Oracle, CachedClassifierNeverSurvivesPolicyEdit) {
   constexpr bgp::AsNumber kA = 100, kB = 200, kC = 300;
   const net::IPv4Prefix p(net::IPv4Address(10, 1, 0, 0), 16);
 
-  auto build = [&](const CompileOptions& options) {
+  auto build = [&](const RuntimeOptions& options) {
     auto runtime = std::make_unique<SdxRuntime>();
-    runtime->SetCompileOptions(options);
+    runtime->Configure(options);
     runtime->AddParticipant(kA, 1);
     runtime->AddParticipant(kB, 1);
     runtime->AddParticipant(kC, 1);

@@ -1,6 +1,7 @@
 // Tier-1 batched-ingest oracle gate: ApplyUpdates (coalescing batch
 // pipeline, DESIGN.md §9) must be packet-for-packet identical to a
-// sequential ApplyBgpUpdate replay of the same update stream. Seeded
+// sequential replay of the same update stream, one batch of one per
+// update. Seeded
 // fig9-style flap bursts and fig10-style generated streams; a failing
 // oracle prints the sampler seed to replay.
 #include <gtest/gtest.h>
@@ -19,7 +20,7 @@
 namespace sdx::oracle {
 namespace {
 
-using core::CompileOptions;
+using core::RuntimeOptions;
 using core::SdxRuntime;
 
 constexpr std::uint64_t kSeed = 0xba7c4ed0c0a1e5ceull;
@@ -85,7 +86,7 @@ std::vector<bgp::BgpUpdate> MakeFlapBurst(const SdxRuntime& runtime,
 
 TEST(OracleBatch, BatchedFlapBurstMatchesSequentialReplay) {
   const Fixture fixture = MakeFixture(40, 600, kSeed);
-  const CompileOptions options;  // the defaults both entry points share
+  const RuntimeOptions options;  // the defaults both entry points share
   auto seq = BuildRuntime(fixture.scenario, fixture.policies, options);
   auto bat = BuildRuntime(fixture.scenario, fixture.policies, options);
 
@@ -94,7 +95,7 @@ TEST(OracleBatch, BatchedFlapBurstMatchesSequentialReplay) {
                     /*base_pref=*/500);
   ASSERT_EQ(burst.size(), 64u);
 
-  for (const auto& update : burst) seq->ApplyBgpUpdate(update);
+  for (const auto& update : burst) seq->ApplyUpdates({&update, 1});
   const core::BatchStats stats = bat->ApplyUpdates(burst);
   // 8 rounds per key coalesce to one survivor each.
   EXPECT_EQ(stats.updates_applied, 8u);
@@ -109,7 +110,7 @@ TEST(OracleBatch, BatchedFlapBurstMatchesSequentialReplay) {
 
 TEST(OracleBatch, BatchedGeneratedStreamMatchesSequentialReplay) {
   const Fixture fixture = MakeFixture(40, 600, kSeed + 1);
-  const CompileOptions options;
+  const RuntimeOptions options;
   auto seq = BuildRuntime(fixture.scenario, fixture.policies, options);
   auto bat = BuildRuntime(fixture.scenario, fixture.policies, options);
 
@@ -121,7 +122,7 @@ TEST(OracleBatch, BatchedGeneratedStreamMatchesSequentialReplay) {
       workload::UpdateGenerator(params).GenerateFor(fixture.scenario);
   ASSERT_FALSE(stream.updates.empty());
 
-  for (const auto& update : stream.updates) seq->ApplyBgpUpdate(update);
+  for (const auto& update : stream.updates) seq->ApplyUpdates({&update, 1});
   constexpr std::size_t kChunk = 16;
   for (std::size_t base = 0; base < stream.updates.size(); base += kChunk) {
     const std::size_t n = std::min(kChunk, stream.updates.size() - base);
@@ -139,16 +140,18 @@ TEST(OracleBatch, BatchedGeneratedStreamMatchesSequentialReplay) {
 // sequential replay packet-for-packet too.
 TEST(OracleBatch, BatchWindowIngestMatchesSequentialReplay) {
   const Fixture fixture = MakeFixture(30, 400, kSeed + 4);
-  const CompileOptions options;
+  const RuntimeOptions options;
   auto seq = BuildRuntime(fixture.scenario, fixture.policies, options);
   auto bat = BuildRuntime(fixture.scenario, fixture.policies, options);
 
   const auto burst =
       MakeFlapBurst(*seq, fixture.scenario, /*prefixes=*/6, /*rounds=*/4,
                     /*base_pref=*/400);
-  for (const auto& update : burst) seq->ApplyBgpUpdate(update);
+  for (const auto& update : burst) seq->ApplyUpdates({&update, 1});
 
-  bat->SetBatchWindow(4);
+  RuntimeOptions window = bat->runtime_options();
+  window.batch_window = 4;
+  bat->Configure(window);
   for (const auto& update : burst) bat->EnqueueUpdate(update);
   bat->Flush();  // remainder, if the burst size is not a multiple of 4
   EXPECT_EQ(bat->pending_updates(), 0u);

@@ -20,11 +20,17 @@
 namespace sdx::oracle {
 namespace {
 
-using core::CompileOptions;
+using core::RuntimeOptions;
 using core::SdxRuntime;
 using dataplane::FlowTable;
 
 constexpr std::uint64_t kSeed = 0xFA57'7AB1'E000'0001ull;
+
+RuntimeOptions WithBackend(FlowTable::Backend backend) {
+  RuntimeOptions options;
+  options.backend = backend;
+  return options;
+}
 
 struct Fixture {
   workload::IxpScenario scenario;
@@ -48,12 +54,10 @@ Fixture MakeFixture(int participants, int prefixes, std::uint64_t seed) {
 
 TEST(DataplaneOracle, CompiledBackendMatchesLinear) {
   const Fixture fixture = MakeFixture(40, 600, kSeed);
-  auto linear =
-      BuildRuntime(fixture.scenario, fixture.policies, CompileOptions());
-  auto compiled =
-      BuildRuntime(fixture.scenario, fixture.policies, CompileOptions());
-  linear->SetDataPlaneBackend(FlowTable::Backend::kLinear);
-  compiled->SetDataPlaneBackend(FlowTable::Backend::kCompiled);
+  auto linear = BuildRuntime(fixture.scenario, fixture.policies,
+                             WithBackend(FlowTable::Backend::kLinear));
+  auto compiled = BuildRuntime(fixture.scenario, fixture.policies,
+                               WithBackend(FlowTable::Backend::kCompiled));
 
   const OracleResult result = ComparePacketBehavior(
       *linear, *compiled, fixture.scenario, workload::DeriveSeed(kSeed, 2),
@@ -69,12 +73,10 @@ TEST(DataplaneOracle, CompiledBackendMatchesLinearAfterRecompile) {
   // Policy edit + FullCompile swaps the installed generation (bulk
   // mutation → full classifier rebuild); the backends must still agree.
   const Fixture fixture = MakeFixture(40, 600, kSeed + 1);
-  auto linear =
-      BuildRuntime(fixture.scenario, fixture.policies, CompileOptions());
-  auto compiled =
-      BuildRuntime(fixture.scenario, fixture.policies, CompileOptions());
-  linear->SetDataPlaneBackend(FlowTable::Backend::kLinear);
-  compiled->SetDataPlaneBackend(FlowTable::Backend::kCompiled);
+  auto linear = BuildRuntime(fixture.scenario, fixture.policies,
+                             WithBackend(FlowTable::Backend::kLinear));
+  auto compiled = BuildRuntime(fixture.scenario, fixture.policies,
+                               WithBackend(FlowTable::Backend::kCompiled));
 
   for (const auto& [as, clauses] : fixture.policies.outbound) {
     if (clauses.empty()) continue;
@@ -99,9 +101,9 @@ TEST(DataplaneOracle, BatchInjectionMatchesPerPacket) {
   // the same packets one at a time: same emissions in order, same drops.
   const Fixture fixture = MakeFixture(30, 400, kSeed + 2);
   auto one_by_one =
-      BuildRuntime(fixture.scenario, fixture.policies, CompileOptions());
+      BuildRuntime(fixture.scenario, fixture.policies, RuntimeOptions());
   auto batched =
-      BuildRuntime(fixture.scenario, fixture.policies, CompileOptions());
+      BuildRuntime(fixture.scenario, fixture.policies, RuntimeOptions());
 
   // Sample a block of traffic and group it into per-sender bursts (a
   // batch injection is per sending AS, like a border router's tx ring).

@@ -30,9 +30,8 @@ constexpr std::uint64_t kSeed = 0xc0dedfacade5117ull;
 
 RuntimeOptions WithEncoding(VmacEncoding encoding, bool parallel = true) {
   RuntimeOptions options;
-  options.compile.parallel = parallel;
   options.compile.incremental = true;
-  options.compile.threads = 4;
+  options.compile.threads = parallel ? 4 : 1;
   options.vmac_encoding = encoding;
   return options;
 }
@@ -123,8 +122,8 @@ TEST(OracleEncoding, FastPathChurnMatchesLegacy) {
       workload::UpdateGenerator(update_params).GenerateFor(fixture.scenario);
   ASSERT_FALSE(stream.updates.empty());
   for (const auto& update : stream.updates) {
-    legacy->ApplyBgpUpdate(update);
-    encoded->ApplyBgpUpdate(update);
+    legacy->ApplyUpdates({&update, 1});
+    encoded->ApplyUpdates({&update, 1});
   }
 
   // Fast-path state only: encoded slices carry (almost) no rules — new

@@ -22,7 +22,7 @@
 namespace sdx::oracle {
 namespace {
 
-using core::CompileOptions;
+using core::RuntimeOptions;
 
 std::uint64_t MasterSeed() {
   if (const char* env = std::getenv("SDX_ORACLE_SEED")) {
@@ -31,11 +31,10 @@ std::uint64_t MasterSeed() {
   return 0xfaceb00c5eed0001ull;
 }
 
-CompileOptions Mode(bool parallel, bool incremental) {
-  CompileOptions options;
-  options.parallel = parallel;
-  options.incremental = incremental;
-  options.threads = 4;
+RuntimeOptions Mode(bool parallel, bool incremental) {
+  RuntimeOptions options;
+  options.compile.incremental = incremental;
+  options.compile.threads = parallel ? 4 : 1;
   return options;
 }
 
@@ -102,9 +101,9 @@ TEST(OracleFuzz, SequentialParallelIncrementalEquivalence) {
                       next_update < stream.updates.size();
            ++i, ++next_update) {
         const auto& update = stream.updates[next_update];
-        seq->ApplyBgpUpdate(update);
-        par->ApplyBgpUpdate(update);
-        inc->ApplyBgpUpdate(update);
+        seq->ApplyUpdates({&update, 1});
+        par->ApplyUpdates({&update, 1});
+        inc->ApplyUpdates({&update, 1});
       }
       seq->FullCompile();
       par->FullCompile();

@@ -1,10 +1,10 @@
 // Batched control-plane ingest (DESIGN.md §9): ApplyUpdates coalescing
 // semantics and edge cases, the EnqueueUpdate/Flush batch-window knob,
 // provenance of superseded update ids, compile-skip on no-change batches,
-// state equivalence with a sequential ApplyBgpUpdate replay, run-to-run
-// determinism of the journal stream, and the live decision.updates counter
-// under a concurrent time-series sampler. The packet-level equivalence
-// gate lives in tests/oracle.
+// a single update as a batch of one, state equivalence with a sequential
+// replay of batches of one, run-to-run determinism of the journal stream,
+// and the live decision.updates counter under a concurrent time-series
+// sampler. The packet-level equivalence gate lives in tests/oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,8 +262,8 @@ TEST_F(BatchIngestTest, SupersededUpdateIdsAreJournaled) {
   EXPECT_EQ(coalesced[1].update_id, 9002u);
   EXPECT_EQ(coalesced[1].arg0, 9003u);
 
-  // The winner keeps a complete classic chain: begin, decision, group,
-  // vnh, flow-mod, end — all under its id.
+  // The winner keeps a complete chain: begin, decision, group, vnh,
+  // flow-mod, end — all under its id.
   std::vector<obs::JournalEventType> winner_types;
   for (const auto& event : runtime_.journal()->TailSince(mark)) {
     if (event.update_id == 9003u) winner_types.push_back(event.type);
@@ -312,7 +312,9 @@ TEST_F(BatchIngestTest, BatchBeginEndBracketTheDrain) {
 // Queue + batch window
 
 TEST_F(BatchIngestTest, BatchWindowAutoFlushes) {
-  runtime_.SetBatchWindow(4);
+  RuntimeOptions options = runtime_.runtime_options();
+  options.batch_window = 4;
+  runtime_.Configure(options);
   EXPECT_EQ(runtime_.batch_window(), 4u);
 
   EXPECT_FALSE(runtime_.EnqueueUpdate(Announce(kC, P(1), 500)));
@@ -359,7 +361,7 @@ TEST_F(BatchIngestTest, ApplyUpdatesJoinsPendingQueue) {
 
 TEST_F(BatchIngestTest, BatchedStateMatchesSequentialReplay) {
   // A second runtime with identical setup replays the same flap-heavy
-  // burst one update at a time through the classic entry point.
+  // burst one update at a time, each a batch of one.
   SdxRuntime sequential;
   Populate(sequential);
 
@@ -375,7 +377,7 @@ TEST_F(BatchIngestTest, BatchedStateMatchesSequentialReplay) {
   }
   burst.push_back(Withdraw(kC, P(4)));
 
-  for (const auto& update : burst) sequential.ApplyBgpUpdate(update);
+  for (const auto& update : burst) sequential.ApplyUpdates({&update, 1});
   const BatchStats stats = runtime_.ApplyUpdates(burst);
   EXPECT_EQ(stats.updates_applied, 4u);  // 3 announce survivors + withdraw
   EXPECT_EQ(stats.updates_coalesced, 9u);
@@ -401,54 +403,39 @@ TEST_F(BatchIngestTest, BatchedStateMatchesSequentialReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// ApplyBgpUpdate is a batch of one with the classic observable surface
+// A single update is a batch of one: same span, metrics and journal shape
+// as any other batch.
 
-TEST_F(BatchIngestTest, SingleUpdateKeepsClassicSurface) {
+TEST_F(BatchIngestTest, SingleUpdateIsABatchOfOne) {
+  const std::uint64_t mark = runtime_.journal()->next_seq();
   const auto before = runtime_.SnapshotMetrics();
-  const UpdateStats stats = runtime_.ApplyBgpUpdate(Announce(kC, P(1), 800));
-  EXPECT_TRUE(stats.best_route_changed);
+  const bgp::BgpUpdate update = Announce(kC, P(1), 800);
+  const BatchStats stats = runtime_.ApplyUpdates({&update, 1});
+  EXPECT_EQ(stats.updates_in, 1u);
+  EXPECT_EQ(stats.updates_applied, 1u);
+  EXPECT_EQ(stats.prefixes_changed, 1u);
   EXPECT_GT(stats.rules_added, 0u);
 
   const auto names = Names(stats.stages);
-  EXPECT_TRUE(Contains(names, "apply_bgp_update"));
+  EXPECT_TRUE(Contains(names, "apply_update_batch"));
   EXPECT_TRUE(Contains(names, "rib_update"));
   EXPECT_TRUE(Contains(names, "slice_compile"));
-  EXPECT_FALSE(Contains(names, "apply_update_batch"));
 
   const auto after = runtime_.SnapshotMetrics();
-  const auto before_count = before.counters.count("bgp_update.count")
-                                ? before.counters.at("bgp_update.count")
+  const auto before_count = before.counters.count("batch.count")
+                                ? before.counters.at("batch.count")
                                 : 0;
-  EXPECT_EQ(after.counters.at("bgp_update.count"), before_count + 1);
-  // No batch aggregates for the single-update wrapper.
-  EXPECT_EQ(after.counters.count("batch.count"),
-            before.counters.count("batch.count"));
-}
+  EXPECT_EQ(after.counters.at("batch.count"), before_count + 1);
 
-// ---------------------------------------------------------------------------
-// SetCompileOptions redesign
-
-TEST_F(BatchIngestTest, SetCompileOptionsReturnsPreviousAndJournals) {
-  CompileOptions sequential_opts;
-  sequential_opts.parallel = false;
-  sequential_opts.incremental = false;
-
-  const std::uint64_t mark = runtime_.journal()->next_seq();
-  const CompileOptions previous = runtime_.SetCompileOptions(sequential_opts);
-  EXPECT_TRUE(previous.parallel);  // the defaults
-  EXPECT_TRUE(previous.incremental);
-  EXPECT_FALSE(runtime_.compile_options().parallel);
-
-  const auto events =
-      EventsOfType(mark, obs::JournalEventType::kCompileOptionsChanged);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].arg0, 0u);  // new: parallel=0, incremental=0
-  EXPECT_EQ(events[0].arg1, 3u);  // old: parallel=1, incremental=1
-
-  // Round-trip: restoring the returned options journals the reverse flip.
-  const CompileOptions restored = runtime_.SetCompileOptions(previous);
-  EXPECT_FALSE(restored.parallel);
-  EXPECT_TRUE(runtime_.compile_options().parallel);
+  for (obs::JournalEventType type :
+       {obs::JournalEventType::kBatchBegin,
+        obs::JournalEventType::kUpdateEnqueued,
+        obs::JournalEventType::kBgpUpdateBegin,
+        obs::JournalEventType::kBgpUpdateEnd,
+        obs::JournalEventType::kBatchEnd}) {
+    EXPECT_EQ(EventsOfType(mark, type).size(), 1u)
+        << obs::JournalEventTypeName(type);
+  }
 }
 
 // The runtime's bundled sinks track journal enable/disable.
@@ -458,14 +445,17 @@ TEST_F(BatchIngestTest, SinksTrackJournalLifecycle) {
   EXPECT_EQ(sinks.journal, runtime_.journal());
   ASSERT_NE(sinks.journal, nullptr);
 
-  runtime_.DisableJournal();
+  obs::TelemetryOptions telemetry = runtime_.telemetry_options();
+  telemetry.journal.enabled = false;
+  runtime_.ConfigureTelemetry(telemetry);
   EXPECT_EQ(runtime_.sinks().journal, nullptr);
   // Batches still work with recording disabled.
   const BatchStats stats =
       runtime_.ApplyUpdates(std::vector<bgp::BgpUpdate>{
           Announce(kC, P(1), 650)});
   EXPECT_EQ(stats.updates_applied, 1u);
-  runtime_.EnableJournal();
+  telemetry.journal.enabled = true;
+  runtime_.ConfigureTelemetry(telemetry);
   EXPECT_EQ(runtime_.sinks().journal, runtime_.journal());
 }
 
@@ -539,8 +529,10 @@ TEST_F(BatchIngestTest, ApplyUpdatesIsRunToRunDeterministic) {
 // this under the thread sanitizer; here it asserts the count lands exactly.
 
 TEST_F(BatchIngestTest, LiveDecisionCounterRacesTimeSeriesSampler) {
-  runtime_.EnableConvergenceTracking();
-  runtime_.EnableTimeSeries(/*interval_seconds=*/0.0005);
+  obs::TelemetryOptions telemetry = runtime_.telemetry_options();
+  telemetry.convergence.enabled = true;
+  telemetry.timeseries = {.enabled = true, .interval_seconds = 0.0005};
+  runtime_.ConfigureTelemetry(telemetry);
   const double base = runtime_.CollectTimeSeriesValues().at("decision.updates");
 
   std::size_t applied = 0;
@@ -550,7 +542,8 @@ TEST_F(BatchIngestTest, LiveDecisionCounterRacesTimeSeriesSampler) {
     EXPECT_GE(runtime_.HealthSnapshot().last_decision_seconds, 0.0);
   }
   runtime_.SampleTimeSeriesNow();
-  runtime_.DisableTimeSeries();
+  telemetry.timeseries.enabled = false;
+  runtime_.ConfigureTelemetry(telemetry);
 
   const auto values = runtime_.CollectTimeSeriesValues();
   ASSERT_EQ(values.count("decision.updates"), 1u);

@@ -89,39 +89,6 @@ TEST(Compile, IfPolicy) {
   EXPECT_EQ(c.Eval(MakePacket(1, 22))[0].in_port, 3u);
 }
 
-TEST(Compile, CacheHitsOnSharedSubpolicies) {
-  CompilationCache cache;
-  auto shared = Policy::Guarded(Predicate::DstPort(80), Policy::Fwd(2));
-  auto big = (shared >> Policy::Fwd(3)) + (shared >> Policy::Fwd(4)) +
-             (Policy::Fwd(5) >> shared);
-  Compile(big, &cache);
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.size(), 0u);
-}
-
-TEST(Compile, CachedAndUncachedAgree) {
-  CompilationCache cache;
-  auto policy =
-      Policy::If(Predicate::SrcIp(Pfx("10.0.0.0/8")),
-                 Policy::Guarded(Predicate::DstPort(80), Policy::Fwd(2)),
-                 Policy::Fwd(3));
-  auto cached = Compile(policy, &cache);
-  auto uncached = Compile(policy);
-  for (std::uint16_t port : {80, 443, 22}) {
-    PacketHeader h = MakePacket(1, port);
-    EXPECT_EQ(cached.Eval(h), uncached.Eval(h));
-  }
-}
-
-TEST(Compile, RecompileUsesCache) {
-  CompilationCache cache;
-  auto policy = Policy::Guarded(Predicate::DstPort(80), Policy::Fwd(2));
-  Compile(policy, &cache);
-  const auto misses_before = cache.misses();
-  Compile(policy, &cache);
-  EXPECT_EQ(cache.misses(), misses_before);  // pure hit
-}
-
 TEST(Compile, ModThenMatchOnRewrittenField) {
   // mod(dstport=8080) >> match(dstport=8080) >> fwd(9): the match is
   // satisfied by the rewrite regardless of the packet's original port.

@@ -163,23 +163,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.policy_depth);
     });
 
-// Cached compilation must agree with uncached on random policies.
-TEST(CompileDifferential, CacheDoesNotChangeSemantics) {
-  RandomPolicyGen gen(99);
-  CompilationCache cache;
-  for (int round = 0; round < 50; ++round) {
-    Policy policy = gen.RandomPolicy(3);
-    Classifier cached = Compile(policy, &cache);
-    Classifier uncached = Compile(policy);
-    for (int trial = 0; trial < 20; ++trial) {
-      PacketHeader packet = gen.RandomPacket();
-      ASSERT_EQ(Normalize(cached.Eval(packet)),
-                Normalize(uncached.Eval(packet)))
-          << policy.ToString();
-    }
-  }
-}
-
 // Algebraic laws of the policy language, checked semantically on random
 // policies: +/>> associativity, >> distributing over + on both sides, and
 // the identity/annihilator elements.

@@ -235,11 +235,20 @@ class ConvergenceRuntimeTest : public ::testing::Test {
     return bgp::BgpUpdate{a};
   }
 
+  // Turns convergence tracking on, with the journal at `journal_capacity`.
+  void TrackConvergence(std::size_t journal_capacity =
+                            Journal::kDefaultCapacity) {
+    TelemetryOptions telemetry = runtime_.telemetry_options();
+    telemetry.journal = {.enabled = true, .capacity = journal_capacity};
+    telemetry.convergence.enabled = true;
+    runtime_.ConfigureTelemetry(telemetry);
+  }
+
   core::SdxRuntime runtime_;
 };
 
 TEST_F(ConvergenceRuntimeTest, EnqueueFlushProducesEndToEndMeasurements) {
-  runtime_.EnableConvergenceTracking();
+  TrackConvergence();
   for (int i = 1; i <= 4; ++i) {
     runtime_.EnqueueUpdate(Announce(kB, P(i), 1000 + i));
   }
@@ -271,11 +280,14 @@ TEST_F(ConvergenceRuntimeTest, EnqueueFlushProducesEndToEndMeasurements) {
             1u);
 }
 
-TEST_F(ConvergenceRuntimeTest, ApplyBgpUpdateFallsBackToBeginStamp) {
-  // The batch-of-one path has no separate enqueue hop: kBgpUpdateBegin is
-  // the ingest stamp, so queue_wait collapses to ~0 but e2e still lands.
-  runtime_.EnableConvergenceTracking();
-  runtime_.ApplyBgpUpdate(Announce(kB, P(1), 3000));
+TEST_F(ConvergenceRuntimeTest, PreStampedUpdateFallsBackToBeginStamp) {
+  // An update that reaches ingest already carrying a provenance id gets no
+  // enqueue stamp (ingest keeps a caller's id), so kBgpUpdateBegin is its
+  // ingest stamp: queue_wait collapses to ~0 but e2e still lands.
+  TrackConvergence();
+  bgp::BgpUpdate update = Announce(kB, P(1), 3000);
+  bgp::SetUpdateProvenance(update, runtime_.journal()->NextUpdateId());
+  runtime_.ApplyUpdates({&update, 1});
   EXPECT_EQ(runtime_.convergence()->tracked(), 1u);
   EXPECT_EQ(runtime_.convergence()->chain_truncated(), 0u);
 }
@@ -286,8 +298,7 @@ TEST_F(ConvergenceRuntimeTest, JournalRingOverflowCountsTruncated) {
   // kBgpUpdateBegin) events of early updates were evicted — those updates
   // must land in convergence.chain_truncated, not be mis-attributed to a
   // surviving stamp.
-  runtime_.EnableJournal(/*capacity=*/8);
-  runtime_.EnableConvergenceTracking();
+  TrackConvergence(/*journal_capacity=*/8);
   const int kUpdates = 32;
   for (int i = 0; i < kUpdates; ++i) {
     runtime_.EnqueueUpdate(
@@ -313,7 +324,9 @@ TEST_F(ConvergenceRuntimeTest, JournalRingOverflowCountsTruncated) {
 
   // Disabling the journal mid-flight detaches the tracker: everything
   // afterwards is truncated, nothing crashes.
-  runtime_.DisableJournal();
+  TelemetryOptions telemetry = runtime_.telemetry_options();
+  telemetry.journal.enabled = false;
+  runtime_.ConfigureTelemetry(telemetry);
   runtime_.EnqueueUpdate(Announce(kB, P(1), 9000));
   runtime_.Flush();
   EXPECT_GT(runtime_.convergence()->chain_truncated(),

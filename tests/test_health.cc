@@ -208,7 +208,8 @@ TEST(RuntimeHealth, FlapRatesSurfacePerParticipant) {
   a.route.next_hop = runtime.RouterIp(200);
   for (std::uint32_t pref = 1; pref <= 5; ++pref) {
     a.route.local_pref = pref;
-    runtime.ApplyBgpUpdate(bgp::BgpUpdate{a});
+    const bgp::BgpUpdate update{a};
+    runtime.ApplyUpdates({&update, 1});
   }
 
   const HealthReport report = runtime.HealthSnapshot();

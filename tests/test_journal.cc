@@ -195,6 +195,18 @@ class JournalProvenanceTest : public ::testing::Test {
     return bgp::BgpUpdate{a};
   }
 
+  // Direct injection: one update as a batch of one.
+  BatchStats Apply(const bgp::BgpUpdate& update) {
+    return runtime_.ApplyUpdates({&update, 1});
+  }
+
+  // Recreates (or, with enabled = false, removes) the journal.
+  void SetJournal(bool enabled, std::size_t capacity) {
+    obs::TelemetryOptions telemetry = runtime_.telemetry_options();
+    telemetry.journal = {.enabled = enabled, .capacity = capacity};
+    runtime_.ConfigureTelemetry(telemetry);
+  }
+
   SdxRuntime runtime_;
   std::unique_ptr<SessionFrontend> frontend_;
 };
@@ -267,26 +279,28 @@ TEST_F(JournalProvenanceTest, FullCompileJournaledAsAmbientAggregates) {
 }
 
 TEST_F(JournalProvenanceTest, DisableJournalTurnsRecordingOff) {
-  runtime_.DisableJournal();
+  SetJournal(false, obs::Journal::kDefaultCapacity);
   EXPECT_EQ(runtime_.journal(), nullptr);
   // The pipeline still works; nothing records, nothing crashes. (Sessions
   // connected before the disable keep their old pointer by design, so use
   // the direct-injection entry point here.)
-  auto stats = runtime_.ApplyBgpUpdate(Announce(300, "30.0.0.0/8"));
-  EXPECT_TRUE(stats.best_route_changed);
+  EXPECT_EQ(Apply(Announce(300, "30.0.0.0/8")).prefixes_changed, 1u);
 
-  // Re-enabling swaps in a fresh ring.
-  runtime_.EnableJournal(16);
+  // Re-enabling swaps in a fresh ring, whose only event is the option
+  // change itself.
+  SetJournal(true, 16);
   ASSERT_NE(runtime_.journal(), nullptr);
   EXPECT_EQ(runtime_.journal()->capacity(), 16u);
-  EXPECT_TRUE(runtime_.journal()->empty());
+  const auto events = runtime_.journal()->Events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].type, JournalEventType::kTelemetryOptionsChanged);
 }
 
 TEST_F(JournalProvenanceTest, ShrunkRingStillAnswersRecentPast) {
-  runtime_.EnableJournal(8);  // rewires RS + flow table to the tiny ring
+  SetJournal(true, 8);  // rewires RS + flow table to the tiny ring
   obs::Journal* journal = runtime_.journal();
-  runtime_.ApplyBgpUpdate(Announce(200, "10.0.0.0/8"));
-  runtime_.ApplyBgpUpdate(Announce(300, "20.0.0.0/8"));
+  Apply(Announce(200, "10.0.0.0/8"));
+  Apply(Announce(300, "20.0.0.0/8"));
   EXPECT_LE(journal->size(), 8u);
   EXPECT_GT(journal->total_recorded(), journal->size());
   // The most recent events survive and are contiguous up to next_seq().

@@ -75,6 +75,18 @@ class ObsIntegrationTest : public ::testing::Test {
     return std::find(names.begin(), names.end(), name) != names.end();
   }
 
+  // One update through the fast path, as a batch of one.
+  BatchStats Apply(const bgp::BgpUpdate& update) {
+    return runtime_.ApplyUpdates({&update, 1});
+  }
+
+  // Turns sampled flow export on (with `options`) or off.
+  void SetFlowTelemetry(bool enabled, obs::FlowRecorder::Options options = {}) {
+    obs::TelemetryOptions telemetry = runtime_.telemetry_options();
+    telemetry.flow = {.enabled = enabled, .options = options};
+    runtime_.ConfigureTelemetry(telemetry);
+  }
+
   SdxRuntime runtime_;
 };
 
@@ -129,11 +141,11 @@ TEST_F(ObsIntegrationTest, FastPathUpdateReportsItsStages) {
   better.route.as_path = {kB};  // shorter than before: best route changes
   better.route.local_pref = 500;
   better.route.next_hop = runtime_.RouterIp(kB);
-  UpdateStats stats = runtime_.ApplyBgpUpdate(bgp::BgpUpdate{better});
-  ASSERT_TRUE(stats.best_route_changed);
+  const BatchStats stats = Apply(bgp::BgpUpdate{better});
+  ASSERT_EQ(stats.prefixes_changed, 1u);
 
   const auto names = Names(stats.stages);
-  for (const char* stage : {"apply_bgp_update", "rib_update",
+  for (const char* stage : {"apply_update_batch", "rib_update",
                             "group_construction", "slice_compile",
                             "rule_install", "readvertise"}) {
     EXPECT_TRUE(Contains(names, stage)) << stage;
@@ -148,8 +160,8 @@ TEST_F(ObsIntegrationTest, NoChangeUpdateHasNoFastPathStages) {
   same.route.prefix = P(1);
   same.route.as_path = {kB, 900};
   same.route.next_hop = runtime_.RouterIp(kB);
-  UpdateStats stats = runtime_.ApplyBgpUpdate(bgp::BgpUpdate{same});
-  EXPECT_FALSE(stats.best_route_changed);
+  const BatchStats stats = Apply(bgp::BgpUpdate{same});
+  EXPECT_EQ(stats.prefixes_changed, 0u);
   const auto names = Names(stats.stages);
   EXPECT_TRUE(Contains(names, "rib_update"));
   EXPECT_FALSE(Contains(names, "slice_compile"));
@@ -268,13 +280,6 @@ TEST_F(ObsIntegrationTest, SnapshotCoversEveryComponent) {
   EXPECT_GT(snap.gauges.at("compile.prefix_groups"), 0.0);
   EXPECT_GT(snap.gauges.at("compile.vnh_allocated"), 0.0);
 
-  // Memoization cache: composing Figure 1 must produce misses, and the
-  // snapshot mirrors the cache's own counters.
-  EXPECT_EQ(snap.counters.at("cache.misses"), runtime_.cache().misses());
-  EXPECT_GT(snap.counters.at("cache.misses"), 0u);
-  EXPECT_EQ(snap.gauges.at("cache.entries"),
-            static_cast<double>(runtime_.cache().size()));
-
   // Route server: per-participant announcement counters and the export
   // suppression from DenyExport(kB, kA, p4).
   EXPECT_EQ(snap.counters.at("rs.as200.announcements"), 4u);
@@ -304,14 +309,18 @@ TEST_F(ObsIntegrationTest, BgpUpdateMetricsAccumulate) {
   better.route.as_path = {kB};
   better.route.local_pref = 500;
   better.route.next_hop = runtime_.RouterIp(kB);
-  runtime_.ApplyBgpUpdate(bgp::BgpUpdate{better});
+  Apply(bgp::BgpUpdate{better});
 
+  // A single update is a batch of one: it lands in the batch.* metrics,
+  // and bgp_update.* keeps only the best-route-changed count.
   const obs::MetricsSnapshot snap = runtime_.SnapshotMetrics();
-  EXPECT_EQ(snap.counters.at("bgp_update.count"), 1u);
+  EXPECT_EQ(snap.counters.at("batch.count"), 1u);
+  EXPECT_EQ(snap.counters.at("batch.applied"), 1u);
   EXPECT_EQ(snap.counters.at("bgp_update.best_route_changed"), 1u);
-  EXPECT_EQ(snap.histograms.at("bgp_update.seconds").count, 1u);
-  EXPECT_TRUE(
-      snap.histograms.contains("bgp_update.stage.slice_compile.seconds"));
+  EXPECT_EQ(snap.histograms.at("batch.seconds").count, 1u);
+  EXPECT_TRUE(snap.histograms.contains("batch.stage.slice_compile.seconds"));
+  EXPECT_FALSE(snap.counters.contains("bgp_update.count"));
+  EXPECT_FALSE(snap.histograms.contains("bgp_update.seconds"));
   // The fast-path singleton group shows up in the synced gauges.
   EXPECT_GT(snap.gauges.at("compile.fast_path_groups"), 0.0);
 }
@@ -361,12 +370,12 @@ TEST_F(ObsIntegrationTest, EnableFlowTelemetryWiresRecorderIntoSinks) {
   EXPECT_EQ(runtime_.flow_recorder(), nullptr);
   obs::FlowRecorder::Options options;
   options.sample_rate = 1;
-  runtime_.EnableFlowTelemetry(options);
+  SetFlowTelemetry(true, options);
   ASSERT_NE(runtime_.flow_recorder(), nullptr);
   EXPECT_EQ(runtime_.sinks().flows, runtime_.flow_recorder());
   EXPECT_EQ(runtime_.data_plane().flow_recorder(), runtime_.flow_recorder());
 
-  runtime_.DisableFlowTelemetry();
+  SetFlowTelemetry(false);
   EXPECT_EQ(runtime_.flow_recorder(), nullptr);
   EXPECT_EQ(runtime_.sinks().flows, nullptr);
   EXPECT_EQ(runtime_.data_plane().flow_recorder(), nullptr);
@@ -375,7 +384,7 @@ TEST_F(ObsIntegrationTest, EnableFlowTelemetryWiresRecorderIntoSinks) {
 TEST_F(ObsIntegrationTest, FlowRecordsResolveParticipantsAndFec) {
   obs::FlowRecorder::Options options;
   options.sample_rate = 1;  // record every packet: deterministic counts
-  runtime_.EnableFlowTelemetry(options);
+  SetFlowTelemetry(true, options);
 
   ASSERT_EQ(runtime_.InjectFromParticipant(kA, PacketToPrefix(1, 80)).size(),
             1u);
@@ -414,7 +423,7 @@ TEST_F(ObsIntegrationTest, FlowTelemetryDoesNotChangeForwarding) {
 
   obs::FlowRecorder::Options options;
   options.sample_rate = 2;
-  runtime_.EnableFlowTelemetry(options);
+  SetFlowTelemetry(true, options);
   for (std::size_t i = 0; i < packets.size(); ++i) {
     const auto on = runtime_.InjectFromParticipant(kA, packets[i]);
     ASSERT_EQ(on.size(), off[i].size()) << "packet " << i;

@@ -37,13 +37,22 @@ class RouteServerTest : public ::testing::Test {
     server_.RegisterParticipant(100, net::IPv4Address(1, 0, 0, 1));
     server_.RegisterParticipant(200, net::IPv4Address(2, 0, 0, 1));
     server_.RegisterParticipant(300, net::IPv4Address(3, 0, 0, 1));
+    server_.OnBestRouteChange(
+        [this](const BestRouteChange& change) { changes_.push_back(change); });
   }
   RouteServer server_;
+  // Every best-route change delivered to the subscriber, in order.
+  std::vector<BestRouteChange> changes_;
 };
 
 TEST_F(RouteServerTest, AnnouncementVisibleToOtherParticipants) {
-  auto changes = server_.HandleUpdate(Announce(100, "10.0.0.0/8"));
-  EXPECT_EQ(changes.size(), 2u);  // 200 and 300 gained a best route
+  EXPECT_EQ(server_.HandleUpdate(Announce(100, "10.0.0.0/8")), 2u);
+  ASSERT_EQ(changes_.size(), 2u);  // 200 and 300 gained a best route
+  for (const BestRouteChange& change : changes_) {
+    EXPECT_FALSE(change.old_best.has_value());
+    ASSERT_TRUE(change.new_best.has_value());
+    EXPECT_EQ(change.new_best->peer_as, 100u);
+  }
   EXPECT_NE(server_.BestRoute(200, Pfx("10.0.0.0/8")), nullptr);
   EXPECT_NE(server_.BestRoute(300, Pfx("10.0.0.0/8")), nullptr);
   // Never reflected back to the announcer.
@@ -52,8 +61,9 @@ TEST_F(RouteServerTest, AnnouncementVisibleToOtherParticipants) {
 
 TEST_F(RouteServerTest, DuplicateAnnouncementIsNoChange) {
   server_.HandleUpdate(Announce(100, "10.0.0.0/8"));
-  auto changes = server_.HandleUpdate(Announce(100, "10.0.0.0/8"));
-  EXPECT_TRUE(changes.empty());
+  changes_.clear();
+  EXPECT_EQ(server_.HandleUpdate(Announce(100, "10.0.0.0/8")), 0u);
+  EXPECT_TRUE(changes_.empty());
 }
 
 TEST_F(RouteServerTest, DecisionProcessPerReceiver) {
@@ -72,13 +82,15 @@ TEST_F(RouteServerTest, DecisionProcessPerReceiver) {
 TEST_F(RouteServerTest, WithdrawalFallsBackToNextBest) {
   server_.HandleUpdate(Announce(100, "10.0.0.0/8", {100, 900}));
   server_.HandleUpdate(Announce(200, "10.0.0.0/8", {200}));
-  auto changes = server_.HandleUpdate(Withdraw(200, "10.0.0.0/8"));
+  changes_.clear();
+  const std::size_t changed = server_.HandleUpdate(Withdraw(200, "10.0.0.0/8"));
   // 300 falls back to 100's route; 100 loses its only route.
   const auto* best = server_.BestRoute(300, Pfx("10.0.0.0/8"));
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->peer_as, 100u);
   EXPECT_EQ(server_.BestRoute(100, Pfx("10.0.0.0/8")), nullptr);
-  EXPECT_GE(changes.size(), 2u);
+  EXPECT_GE(changes_.size(), 2u);
+  EXPECT_EQ(changed, changes_.size());
 }
 
 TEST_F(RouteServerTest, ExportDenyHidesRoute) {

@@ -1,7 +1,6 @@
 // The consolidated runtime-options API: Configure / ConfigureTelemetry
 // must apply the whole options value atomically, return the previous
-// value (round-trip), journal their change events, and keep the
-// deprecated Set*/Enable*/Disable* wrappers behaving as thin delegates.
+// value (round-trip), and journal their change events.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -25,20 +24,10 @@ std::optional<obs::JournalEvent> LastEventOfType(const SdxRuntime& runtime,
   return found;
 }
 
-std::size_t CountEventsOfType(const SdxRuntime& runtime,
-                              JournalEventType type) {
-  if (runtime.journal() == nullptr) return 0;
-  std::size_t count = 0;
-  for (const auto& event : runtime.journal()->Events()) {
-    if (event.type == type) ++count;
-  }
-  return count;
-}
-
 RuntimeOptions NonDefaultOptions() {
   RuntimeOptions options;
-  options.compile.parallel = false;
   options.compile.incremental = false;
+  options.compile.threads = 1;
   options.batch_window = 7;
   options.backend = dataplane::FlowTable::Backend::kLinear;
   options.vmac_encoding = VmacEncoding::kEncoded;
@@ -48,8 +37,8 @@ RuntimeOptions NonDefaultOptions() {
 TEST(RuntimeOptions, ConfigureRoundTripsPreviousValue) {
   SdxRuntime runtime;
   const RuntimeOptions defaults = runtime.runtime_options();
-  EXPECT_TRUE(defaults.compile.parallel);
   EXPECT_TRUE(defaults.compile.incremental);
+  EXPECT_EQ(defaults.compile.threads, 0);
   EXPECT_EQ(defaults.batch_window, 0u);
   EXPECT_EQ(defaults.backend, dataplane::FlowTable::Backend::kCompiled);
   EXPECT_EQ(defaults.vmac_encoding, VmacEncoding::kAuto);
@@ -71,37 +60,41 @@ TEST(RuntimeOptions, ConfigureJournalsChangeEvent) {
   const auto event =
       LastEventOfType(runtime, JournalEventType::kRuntimeOptionsChanged);
   ASSERT_TRUE(event);
-  // arg0 = new packed bits {compile.parallel, compile.incremental<<1,
-  // encoded<<3, linear_backend<<4}; bit 2 is unused and stays 0; arg2 = new
+  // arg0 = new packed bits {compile.incremental<<1, encoded<<3,
+  // linear_backend<<4}; bits 0 and 2 are unused and stay 0; arg2 = new
   // batch window.
   EXPECT_EQ(event->arg0, (1ull << 3) | (1ull << 4));
   EXPECT_EQ(event->arg2, 7u);
-  // Old bits: parallel + incremental set, bit 2 clear (the encoded bit
-  // depends on what kAuto resolves to in this environment).
-  EXPECT_EQ(event->arg1 & 0b111u, 0b011u);
+  // Old bits: incremental set, bits 0 and 2 clear (the encoded bit depends
+  // on what kAuto resolves to in this environment).
+  EXPECT_EQ(event->arg1 & 0b111u, 0b010u);
 }
 
-TEST(RuntimeOptions, DeprecatedSettersDelegateThroughConfigure) {
+TEST(RuntimeOptions, TurningIncrementalOffForcesFromScratchCompile) {
   SdxRuntime runtime;
-  const std::size_t before =
-      CountEventsOfType(runtime, JournalEventType::kRuntimeOptionsChanged);
+  runtime.AddParticipant(100, 1);
+  runtime.AddParticipant(200, 1);
+  runtime.AnnouncePrefix(200, net::IPv4Prefix(net::IPv4Address(10, 1, 0, 0),
+                                              16));
+  runtime.FullCompile();
+  EXPECT_TRUE(runtime.FullCompile().incremental);
 
-  runtime.SetBatchWindow(5);
-  EXPECT_EQ(runtime.runtime_options().batch_window, 5u);
-  runtime.SetDataPlaneBackend(dataplane::FlowTable::Backend::kLinear);
-  EXPECT_EQ(runtime.runtime_options().backend,
-            dataplane::FlowTable::Backend::kLinear);
+  RuntimeOptions options = runtime.runtime_options();
+  options.compile.incremental = false;
+  runtime.Configure(options);
+  for (int i = 0; i < 2; ++i) {
+    const CompileStats stats = runtime.FullCompile();
+    EXPECT_FALSE(stats.incremental);
+    EXPECT_EQ(stats.blocks_reused, 0u);  // no composed block is memoized
+    EXPECT_GT(stats.blocks_recompiled, 0u);
+  }
 
-  EXPECT_EQ(
-      CountEventsOfType(runtime, JournalEventType::kRuntimeOptionsChanged),
-      before + 2);
-
-  // The sub-option setters keep their own events alongside.
-  CompileOptions compile;
-  compile.parallel = false;
-  compile.incremental = false;
-  runtime.SetCompileOptions(compile);
-  EXPECT_EQ(runtime.runtime_options().compile, compile);
+  // The from-scratch compile rebuilt the dirty-tracking state the next
+  // one reuses.
+  options.compile.incremental = true;
+  runtime.Configure(options);
+  EXPECT_TRUE(runtime.FullCompile().incremental);
+  EXPECT_GT(runtime.FullCompile().blocks_reused, 0u);
 }
 
 TEST(RuntimeOptions, EncodingTakesEffectAtNextFullCompile) {
@@ -212,32 +205,6 @@ TEST(TelemetryOptions, TimeSeriesSurvivesConvergenceReplacement) {
   runtime.ConfigureTelemetry(options);
   EXPECT_EQ(runtime.timeseries_sampler(), nullptr);
   EXPECT_NE(runtime.timeseries(), nullptr);
-}
-
-TEST(TelemetryOptions, WrappersKeepOptionsInSync) {
-  SdxRuntime runtime;
-  runtime.EnableFlowTelemetry();
-  EXPECT_TRUE(runtime.telemetry_options().flow.enabled);
-  runtime.DisableFlowTelemetry();
-  EXPECT_FALSE(runtime.telemetry_options().flow.enabled);
-
-  runtime.EnableJournal(512);
-  EXPECT_TRUE(runtime.telemetry_options().journal.enabled);
-  EXPECT_EQ(runtime.telemetry_options().journal.capacity, 512u);
-  runtime.DisableJournal();
-  EXPECT_FALSE(runtime.telemetry_options().journal.enabled);
-
-  runtime.EnableConvergenceTracking(64);
-  EXPECT_TRUE(runtime.telemetry_options().convergence.enabled);
-  EXPECT_EQ(runtime.telemetry_options().convergence.max_pending, 64u);
-  runtime.DisableConvergenceTracking();
-  EXPECT_FALSE(runtime.telemetry_options().convergence.enabled);
-
-  runtime.EnableTimeSeries(10.0, 16);
-  EXPECT_TRUE(runtime.telemetry_options().timeseries.enabled);
-  EXPECT_EQ(runtime.telemetry_options().timeseries.capacity, 16u);
-  runtime.DisableTimeSeries();
-  EXPECT_FALSE(runtime.telemetry_options().timeseries.enabled);
 }
 
 }  // namespace

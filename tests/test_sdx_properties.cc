@@ -71,7 +71,7 @@ TEST_P(FastPathStorm, FastPathMatchesFullRecompile) {
   auto stream =
       workload::UpdateGenerator(update_params).GenerateFor(scenario);
   for (const auto& update : stream.updates) {
-    fast.ApplyBgpUpdate(update);
+    fast.ApplyUpdates({&update, 1});
   }
 
   // Reference: a second runtime fed the same history, then fully compiled.

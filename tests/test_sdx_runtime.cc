@@ -85,6 +85,11 @@ class Figure1Test : public ::testing::Test {
     return runtime_.topology().PhysicalPortOf(as, index).id;
   }
 
+  // One update through the fast path, as a batch of one.
+  BatchStats Apply(const bgp::BgpUpdate& update) {
+    return runtime_.ApplyUpdates({&update, 1});
+  }
+
   SdxRuntime runtime_;
 };
 
@@ -205,8 +210,8 @@ TEST_F(Figure1Test, WithdrawalShiftsTrafficViaFastPath) {
   bgp::Withdrawal withdrawal;
   withdrawal.from_as = kC;
   withdrawal.prefix = P(1);
-  auto stats = runtime_.ApplyBgpUpdate(bgp::BgpUpdate{withdrawal});
-  EXPECT_TRUE(stats.best_route_changed);
+  const BatchStats stats = Apply(bgp::BgpUpdate{withdrawal});
+  EXPECT_EQ(stats.prefixes_changed, 1u);
   EXPECT_GT(stats.rules_added, 0u);
   EXPECT_EQ(runtime_.fast_path_groups(), 1u);
 
@@ -224,7 +229,7 @@ TEST_F(Figure1Test, BackgroundOptimizationRetiresFastPathRules) {
   bgp::Withdrawal withdrawal;
   withdrawal.from_as = kC;
   withdrawal.prefix = P(1);
-  runtime_.ApplyBgpUpdate(bgp::BgpUpdate{withdrawal});
+  Apply(bgp::BgpUpdate{withdrawal});
   auto fast_rules = [this] {
     std::size_t count = 0;
     for (const auto& rule : runtime_.data_plane().table().rules()) {
@@ -249,7 +254,7 @@ TEST_F(Figure1Test, AnnouncementFastPathRestoresRoute) {
   bgp::Withdrawal withdrawal;
   withdrawal.from_as = kC;
   withdrawal.prefix = P(1);
-  runtime_.ApplyBgpUpdate(bgp::BgpUpdate{withdrawal});
+  Apply(bgp::BgpUpdate{withdrawal});
 
   // C re-announces p1 with the old (best) path: traffic shifts back via C.
   bgp::Announcement announcement;
@@ -257,8 +262,8 @@ TEST_F(Figure1Test, AnnouncementFastPathRestoresRoute) {
   announcement.route.prefix = P(1);
   announcement.route.as_path = {kC};
   announcement.route.next_hop = runtime_.RouterIp(kC);
-  auto stats = runtime_.ApplyBgpUpdate(bgp::BgpUpdate{announcement});
-  EXPECT_TRUE(stats.best_route_changed);
+  const BatchStats stats = Apply(bgp::BgpUpdate{announcement});
+  EXPECT_EQ(stats.prefixes_changed, 1u);
 
   auto emissions = runtime_.InjectFromParticipant(kA, PacketTo(1, 22));
   ASSERT_EQ(emissions.size(), 1u);
@@ -271,9 +276,46 @@ TEST_F(Figure1Test, DuplicateUpdateDoesNotRecompile) {
   announcement.route.prefix = P(1);
   announcement.route.as_path = {kC};
   announcement.route.next_hop = runtime_.RouterIp(kC);
-  auto stats = runtime_.ApplyBgpUpdate(bgp::BgpUpdate{announcement});
-  EXPECT_FALSE(stats.best_route_changed);
+  const BatchStats stats = Apply(bgp::BgpUpdate{announcement});
+  EXPECT_EQ(stats.prefixes_changed, 0u);
+  EXPECT_FALSE(stats.compiled);
   EXPECT_EQ(stats.rules_added, 0u);
+}
+
+TEST_F(Figure1Test, FastPathSliceUsesGenerationInboundBlocks) {
+  // B swaps its inbound ports after the compile. Until the next
+  // FullCompile, fast-path slices compose against the inbound blocks of
+  // the installed generation; the edit takes effect at the next compile.
+  InboundClause low;
+  low.match = Predicate::SrcIp(Pfx("0.0.0.0/1"));
+  low.port_index = 1;
+  InboundClause high;
+  high.match = Predicate::SrcIp(Pfx("128.0.0.0/1"));
+  high.port_index = 0;
+  runtime_.SetInboundPolicy(kB, {low, high});
+
+  // Withdrawing C's p1 moves its best route to B through the fast path.
+  bgp::Withdrawal withdrawal;
+  withdrawal.from_as = kC;
+  withdrawal.prefix = P(1);
+  const BatchStats stats = Apply(bgp::BgpUpdate{withdrawal});
+  ASSERT_TRUE(stats.compiled);
+  ASSERT_EQ(runtime_.fast_path_groups(), 1u);
+
+  const net::IPv4Address low_src(10, 99, 0, 1);
+  const net::IPv4Address high_src(200, 0, 0, 1);
+  auto out_port = [&](net::IPv4Address src) {
+    const auto emissions =
+        runtime_.InjectFromParticipant(kA, PacketTo(1, 22, src));
+    EXPECT_EQ(emissions.size(), 1u);
+    return emissions.empty() ? net::kNoPort : emissions[0].out_port;
+  };
+  EXPECT_EQ(out_port(low_src), PortOf(kB, 0));  // the old inbound policy
+  EXPECT_EQ(out_port(high_src), PortOf(kB, 1));
+
+  runtime_.FullCompile();
+  EXPECT_EQ(out_port(low_src), PortOf(kB, 1));  // the new one
+  EXPECT_EQ(out_port(high_src), PortOf(kB, 0));
 }
 
 TEST_F(Figure1Test, CompileStatsAreConsistent) {
@@ -333,7 +375,7 @@ TEST_F(Figure1Test, AdvertisedNextHopUsesFastPathVnh) {
   bgp::Withdrawal withdrawal;
   withdrawal.from_as = kC;
   withdrawal.prefix = P(1);
-  runtime_.ApplyBgpUpdate(bgp::BgpUpdate{withdrawal});
+  Apply(bgp::BgpUpdate{withdrawal});
   auto hop = runtime_.AdvertisedNextHop(kA, P(1));
   ASSERT_TRUE(hop);
   // Fresh fast-path VNH, resolvable via ARP.

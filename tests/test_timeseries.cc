@@ -140,8 +140,11 @@ TEST(RuntimeTimeSeriesTest, SamplerRunsAgainstLiveRuntime) {
   }
   runtime.FullCompile();
 
-  runtime.EnableConvergenceTracking();
-  runtime.EnableTimeSeries(/*interval_seconds=*/0.001, /*capacity=*/256);
+  TelemetryOptions telemetry = runtime.telemetry_options();
+  telemetry.convergence.enabled = true;
+  telemetry.timeseries = {
+      .enabled = true, .interval_seconds = 0.001, .capacity = 256};
+  runtime.ConfigureTelemetry(telemetry);
   ASSERT_NE(runtime.timeseries(), nullptr);
   ASSERT_TRUE(runtime.timeseries_sampler()->running());
 
@@ -161,11 +164,12 @@ TEST(RuntimeTimeSeriesTest, SamplerRunsAgainstLiveRuntime) {
   }
   runtime.PublishHealth();
   runtime.SampleTimeSeriesNow();
-  runtime.DisableTimeSeries();
+  telemetry.timeseries.enabled = false;
+  runtime.ConfigureTelemetry(telemetry);
   EXPECT_EQ(runtime.timeseries_sampler(), nullptr);
 
-  // Samples survive DisableTimeSeries; the explicit final sample carries
-  // the whole producer surface.
+  // Samples survive turning the time series off; the explicit final sample
+  // carries the whole producer surface.
   const auto samples = runtime.timeseries()->Samples();
   ASSERT_FALSE(samples.empty());
   const auto& last = samples.back().values;
@@ -177,8 +181,11 @@ TEST(RuntimeTimeSeriesTest, SamplerRunsAgainstLiveRuntime) {
   EXPECT_GT(last.at("convergence.tracked"), 0.0);
 
   // Re-enabling replaces the series with a fresh ring.
-  runtime.EnableTimeSeries(/*interval_seconds=*/0.001, /*capacity=*/7);
-  runtime.DisableTimeSeries();
+  telemetry.timeseries = {
+      .enabled = true, .interval_seconds = 0.001, .capacity = 7};
+  runtime.ConfigureTelemetry(telemetry);
+  telemetry.timeseries.enabled = false;
+  runtime.ConfigureTelemetry(telemetry);
   EXPECT_EQ(runtime.timeseries()->capacity(), 7u);
 }
 

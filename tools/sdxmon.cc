@@ -298,8 +298,9 @@ int CmdDiff(const std::vector<std::string>& args) {
 // Per-update convergence spans recomputed from a journal dump. Mirrors the
 // in-process ConvergenceTracker semantics (obs/convergence.h): the ingest
 // stamp is the first kUpdateEnqueued/kBgpSessionRx event carrying the id,
-// falling back to kBgpUpdateBegin for updates that bypassed both the
-// session and the queue (ApplyBgpUpdate's batch-of-one path). An id whose
+// falling back to kBgpUpdateBegin for updates that reached the batch
+// already stamped but with no ingest event (a caller-assigned id, or a
+// journal enabled while the update was queued). An id whose
 // ingest stamp the ring overwrote entirely is reported as truncated,
 // never guessed.
 struct UpdateSpan {
