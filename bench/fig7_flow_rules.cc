@@ -1,20 +1,11 @@
 // Figure 7: number of forwarding rules as a function of the number of
-// prefix groups, for 100/200/300 participants — plus the iSDX column.
+// prefix groups, for 100/200/300 participants.
 //
 // We sweep the prefix population (which moves the resulting prefix-group
-// count), compile the full SDX policy through the real pipeline twice —
-// once with the legacy per-group VMAC encoding and once with the iSDX
-// reachability encoding (sdx/reach.h) — and report (prefix groups, flow
-// rules) pairs for both. The paper's shape: roughly linear growth in the
-// number of prefix groups, steeper with more participants (~30k rules at
-// 1000 groups / 300 participants); the encoded column stays near-flat in
-// the group count, since masked per-clause rules replace per-group rules.
-//
-// The encoded compile is gated by the packet-equivalence oracle against
-// the legacy one on the snapshot configuration (both must forward every
-// probe identically), and the legacy/encoded rule ratio is exported as the
-// rules.isdx_reduction gauge, enforced in CI by `sdxmon diff
-// --min-rule-reduction`.
+// count), compile the full SDX policy through the real pipeline, and
+// report (prefix groups, flow rules) pairs. The paper's shape: roughly
+// linear growth in the number of prefix groups, steeper with more
+// participants (~30k rules at 1000 groups / 300 participants).
 //
 // `--quick` runs the single 300-participant / 5000-prefix configuration
 // (the CI bench lane).
@@ -22,19 +13,25 @@
 #include <cstring>
 #include <vector>
 
-#include "oracle.h"
-#include "sdx/reach.h"
 #include "sweep_common.h"
 
 using namespace sdx;
 
+namespace {
+
+// Cap on coverage clauses per sender. Fixed, so the sweep's rule counts
+// stay comparable across revisions.
+constexpr int kCoverageMaxPerSender = 24;
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const bool quick =
       argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  std::printf("Figure 7: flow rules vs prefix groups (legacy vs iSDX)%s\n",
+  std::printf("Figure 7: flow rules vs prefix groups%s\n",
               quick ? " [quick]" : "");
-  std::printf("%13s %13s %13s %13s %13s %13s\n", "participants", "prefixes",
-              "prefix_groups", "flow_rules", "isdx_rules", "reduction");
+  std::printf("%13s %13s %13s %13s\n", "participants", "prefixes",
+              "prefix_groups", "flow_rules");
   const std::vector<int> participant_counts =
       quick ? std::vector<int>{300} : std::vector<int>{100, 200, 300};
   const std::vector<int> prefix_counts =
@@ -42,74 +39,35 @@ int main(int argc, char** argv) {
             : std::vector<int>{2000, 5000, 10000, 15000, 20000, 25000};
   for (int participants : participant_counts) {
     for (int prefixes : prefix_counts) {
-      // Coverage clauses are dealt over many senders (capped at the VMAC
-      // clause-bit budget each) rather than piled onto the top transits:
-      // same prefix-group diversity, but the per-sender clause counts keep
-      // the iSDX shape — many participants, each with a handful of policy
-      // targets — so the encoded column measures the encoding, not the
-      // overflow fallback.
+      // Coverage clauses are dealt over many senders (capped per sender)
+      // rather than piled onto the top transits: same prefix-group
+      // diversity, but many participants each with a handful of policy
+      // targets.
       auto built = bench::MakeScenario(
           participants, prefixes,
           /*seed=*/1000 + participants,
           /*policy_scale=*/1.0,
           /*coverage_fanout=*/participants,
-          /*coverage_max_per_sender=*/core::kEncodedClauseBits);
+          /*coverage_max_per_sender=*/kCoverageMaxPerSender);
 
-      core::SdxRuntime legacy;
-      {
-        core::RuntimeOptions options = legacy.runtime_options();
-        options.vmac_encoding = core::VmacEncoding::kLegacy;
-        legacy.Configure(options);
-      }
-      auto stats = bench::BuildAndCompile(legacy, built);
-
-      core::SdxRuntime encoded;
-      {
-        core::RuntimeOptions options = encoded.runtime_options();
-        options.vmac_encoding = core::VmacEncoding::kEncoded;
-        encoded.Configure(options);
-      }
-      auto encoded_stats = bench::BuildAndCompile(encoded, built);
-
-      const double reduction =
-          encoded_stats.flow_rule_count > 0
-              ? static_cast<double>(stats.flow_rule_count) /
-                    static_cast<double>(encoded_stats.flow_rule_count)
-              : 0.0;
-      std::printf("%13d %13d %13zu %13zu %13zu %12.1fx\n", participants,
-                  prefixes, stats.prefix_group_count, stats.flow_rule_count,
-                  encoded_stats.flow_rule_count, reduction);
+      core::SdxRuntime runtime;
+      auto stats = bench::BuildAndCompile(runtime, built);
+      std::printf("%13d %13d %13zu %13zu\n", participants, prefixes,
+                  stats.prefix_group_count, stats.flow_rule_count);
 
       const bool snapshot_config =
           participants == participant_counts.back() &&
           prefixes == prefix_counts.back();
       if (snapshot_config) {
-        // Oracle gate: the encoded table must forward every probe exactly
-        // like the legacy one before its rule count means anything.
-        const oracle::OracleResult gate = oracle::ComparePacketBehavior(
-            legacy, encoded, built.scenario,
-            /*seed=*/2000 + static_cast<std::uint64_t>(participants), 500);
-        if (!gate.equivalent) {
-          std::fprintf(stderr,
-                       "FATAL: encoded compile diverged from legacy\n%s",
-                       gate.report.c_str());
-          return 1;
-        }
-        std::printf("oracle: %zu probes, legacy == encoded\n",
-                    gate.packets_checked);
-        legacy.metrics().GetGauge("rules.isdx_reduction").Set(reduction);
-        legacy.metrics()
-            .GetGauge("rules.legacy_count")
+        runtime.metrics()
+            .GetGauge("rules.flow_count")
             .Set(static_cast<double>(stats.flow_rule_count));
-        legacy.metrics()
-            .GetGauge("rules.isdx_count")
-            .Set(static_cast<double>(encoded_stats.flow_rule_count));
-        bench::WriteMetricsSnapshot(legacy, "fig7_flow_rules");
+        bench::WriteMetricsSnapshot(runtime, "fig7_flow_rules");
       }
     }
     std::printf("\n");
   }
-  std::printf("expected shape (paper): legacy linear in prefix groups, more "
-              "participants => more rules; iSDX near-flat in groups.\n");
+  std::printf("expected shape (paper): linear in prefix groups, more "
+              "participants => more rules.\n");
   return 0;
 }

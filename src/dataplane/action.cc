@@ -74,10 +74,7 @@ std::optional<net::FieldMatch> Rewrites::PullBack(
     result.ClearField(net::Field::kSrcMac);
   }
   if (dst_mac_ && match.dst_mac()) {
-    // A ternary constraint is satisfied by the assigned value iff the
-    // value agrees on every constrained bit (exact match = full mask).
-    if ((dst_mac_->value() & match.dst_mac_mask()) != match.dst_mac()->value())
-      return std::nullopt;
+    if (*match.dst_mac() != *dst_mac_) return std::nullopt;
     result.ClearField(net::Field::kDstMac);
   }
   if (src_ip_ && match.src_ip()) {

@@ -1,21 +1,13 @@
 #include "dataplane/arp.h"
 
-#include <utility>
-
 namespace sdx::dataplane {
 
 void ArpResponder::Bind(net::IPv4Address ip, net::MacAddress mac) {
-  encoded_.erase(ip);
   bindings_[ip] = mac;
 }
 
-void ArpResponder::BindEncoded(net::IPv4Address ip, EncodedEntry entry) {
-  bindings_.erase(ip);
-  encoded_[ip] = std::move(entry);
-}
-
 bool ArpResponder::Unbind(net::IPv4Address ip) {
-  return bindings_.erase(ip) + encoded_.erase(ip) > 0;
+  return bindings_.erase(ip) > 0;
 }
 
 std::optional<net::MacAddress> ArpResponder::Resolve(
@@ -24,26 +16,6 @@ std::optional<net::MacAddress> ArpResponder::Resolve(
   if (auto it = bindings_.find(ip); it != bindings_.end()) {
     ++hit_count_;
     return it->second;
-  }
-  if (auto it = encoded_.find(ip); it != encoded_.end()) {
-    ++hit_count_;
-    return it->second.default_mac;
-  }
-  return std::nullopt;
-}
-
-std::optional<net::MacAddress> ArpResponder::Resolve(
-    net::IPv4Address ip, std::uint32_t requester_as) const {
-  ++query_count_;
-  if (auto it = bindings_.find(ip); it != bindings_.end()) {
-    ++hit_count_;
-    return it->second;
-  }
-  if (auto it = encoded_.find(ip); it != encoded_.end()) {
-    ++hit_count_;
-    auto per = it->second.per_requester.find(requester_as);
-    if (per != it->second.per_requester.end()) return per->second;
-    return it->second.default_mac;
   }
   return std::nullopt;
 }

@@ -3,13 +3,8 @@
 // §4.2 of the paper: the controller answers ARP queries for Virtual Next-Hop
 // (VNH) IP addresses with the corresponding Virtual MAC (VMAC), which is how
 // unmodified participant border routers end up tagging packets with the
-// forwarding-equivalence-class identifier the fabric matches on.
-//
-// Under the iSDX-style encoded mode (sdx/reach.h) the answer additionally
-// depends on WHO asks: each sender gets a VMAC carrying its own next hop
-// and clause-eligibility bits. The responder stays encoding-agnostic — it
-// stores a default answer plus a sparse per-requester override map and the
-// runtime computes the actual encoded values.
+// forwarding-equivalence-class identifier the fabric matches on. Each VNH
+// has one VMAC, whoever asks.
 #pragma once
 
 #include <cstdint>
@@ -23,43 +18,30 @@ namespace sdx::dataplane {
 
 class ArpResponder {
  public:
-  // Per-VNH answer in requester-aware mode: senders present in
-  // `per_requester` get their own VMAC, everyone else the default.
-  struct EncodedEntry {
-    net::MacAddress default_mac;
-    std::unordered_map<std::uint32_t, net::MacAddress> per_requester;
-  };
-
-  // Installs or replaces a requester-independent binding.
+  // Installs or replaces a binding.
   void Bind(net::IPv4Address ip, net::MacAddress mac);
 
-  // Installs or replaces a requester-aware binding. A plain binding for the
-  // same address (and vice versa) is displaced, so encoding-mode flips
-  // rebind cleanly.
-  void BindEncoded(net::IPv4Address ip, EncodedEntry entry);
-
-  // Removes a binding of either kind; returns true if one existed.
+  // Removes a binding; returns true if one existed.
   bool Unbind(net::IPv4Address ip);
 
   // Answers an ARP request; nullopt when the address is unknown (real
   // hosts' ARP is handled by normal flooding, not the responder).
-  // Requester-aware bindings answer with their default here.
   std::optional<net::MacAddress> Resolve(net::IPv4Address ip) const;
 
-  // Answers an ARP request from a specific participant border router;
-  // requester-aware bindings consult the per-requester map first.
+  // Answers an ARP request from a specific participant border router: the
+  // same answer as Resolve(ip), since bindings do not depend on who asks.
   std::optional<net::MacAddress> Resolve(net::IPv4Address ip,
-                                         std::uint32_t requester_as) const;
+                                         std::uint32_t /*requester_as*/) const {
+    return Resolve(ip);
+  }
 
-  std::size_t size() const { return bindings_.size() + encoded_.size(); }
-  std::size_t encoded_size() const { return encoded_.size(); }
+  std::size_t size() const { return bindings_.size(); }
 
   std::uint64_t query_count() const { return query_count_; }
   std::uint64_t hit_count() const { return hit_count_; }
 
  private:
   std::unordered_map<net::IPv4Address, net::MacAddress> bindings_;
-  std::unordered_map<net::IPv4Address, EncodedEntry> encoded_;
   mutable std::uint64_t query_count_ = 0;
   mutable std::uint64_t hit_count_ = 0;
 };

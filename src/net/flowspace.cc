@@ -95,9 +95,6 @@ FieldMatch FieldMatch::SrcMac(MacAddress mac) {
 FieldMatch FieldMatch::DstMac(MacAddress mac) {
   return FieldMatch().WithDstMac(mac);
 }
-FieldMatch FieldMatch::DstMacMasked(MacAddress value, std::uint64_t mask) {
-  return FieldMatch().WithDstMacMasked(value, mask);
-}
 FieldMatch FieldMatch::SrcIp(IPv4Prefix prefix) {
   return FieldMatch().WithSrcIp(prefix);
 }
@@ -124,17 +121,6 @@ FieldMatch& FieldMatch::WithSrcMac(MacAddress mac) {
 }
 FieldMatch& FieldMatch::WithDstMac(MacAddress mac) {
   dst_mac_ = mac;
-  dst_mac_mask_.reset();
-  return *this;
-}
-FieldMatch& FieldMatch::WithDstMacMasked(MacAddress value, std::uint64_t mask) {
-  mask &= kFullMacMask;
-  dst_mac_ = MacAddress(value.value() & mask);
-  if (mask == kFullMacMask) {
-    dst_mac_mask_.reset();  // normalize: full-mask ternary == exact
-  } else {
-    dst_mac_mask_ = mask;
-  }
   return *this;
 }
 FieldMatch& FieldMatch::WithSrcIp(IPv4Prefix prefix) {
@@ -179,10 +165,7 @@ int FieldMatch::ConstrainedFieldCount() const {
 bool FieldMatch::Matches(const PacketHeader& header) const {
   if (in_port_ && *in_port_ != header.in_port) return false;
   if (src_mac_ && *src_mac_ != header.src_mac) return false;
-  if (dst_mac_ &&
-      (header.dst_mac.value() & dst_mac_mask()) != dst_mac_->value()) {
-    return false;
-  }
+  if (dst_mac_ && *dst_mac_ != header.dst_mac) return false;
   if (src_ip_ && !src_ip_->Contains(header.src_ip)) return false;
   if (dst_ip_ && !dst_ip_->Contains(header.dst_ip)) return false;
   if (proto_ && *proto_ != header.proto) return false;
@@ -197,20 +180,8 @@ std::optional<FieldMatch> FieldMatch::Intersect(const FieldMatch& other) const {
     return std::nullopt;
   if (!IntersectExact(src_mac_, other.src_mac_, out.src_mac_))
     return std::nullopt;
-  if (dst_mac_ && other.dst_mac_) {
-    // Ternary conjunction: a conflict is a bit both sides constrain to
-    // different values; otherwise the result constrains the union of the
-    // mask bits (stored values are pre-masked, so OR merges them).
-    const std::uint64_t shared = dst_mac_mask() & other.dst_mac_mask();
-    if ((dst_mac_->value() ^ other.dst_mac_->value()) & shared)
-      return std::nullopt;
-    out.WithDstMacMasked(MacAddress(dst_mac_->value() | other.dst_mac_->value()),
-                         dst_mac_mask() | other.dst_mac_mask());
-  } else if (dst_mac_ || other.dst_mac_) {
-    const FieldMatch& with = dst_mac_ ? *this : other;
-    out.dst_mac_ = with.dst_mac_;
-    out.dst_mac_mask_ = with.dst_mac_mask_;
-  }
+  if (!IntersectExact(dst_mac_, other.dst_mac_, out.dst_mac_))
+    return std::nullopt;
   if (!IntersectPrefix(src_ip_, other.src_ip_, out.src_ip_))
     return std::nullopt;
   if (!IntersectPrefix(dst_ip_, other.dst_ip_, out.dst_ip_))
@@ -224,17 +195,9 @@ std::optional<FieldMatch> FieldMatch::Intersect(const FieldMatch& other) const {
 }
 
 bool FieldMatch::IsSubsetOf(const FieldMatch& other) const {
-  // dst-MAC with ternary masks: this ⊆ other iff other's constrained bits
-  // are a subset of ours and our value agrees on them.
-  const bool dst_mac_subset = [&] {
-    if (!other.dst_mac_) return true;
-    if (!dst_mac_) return false;
-    const std::uint64_t om = other.dst_mac_mask();
-    return (dst_mac_mask() & om) == om &&
-           (dst_mac_->value() & om) == other.dst_mac_->value();
-  }();
   return SubsetExact(in_port_, other.in_port_) &&
-         SubsetExact(src_mac_, other.src_mac_) && dst_mac_subset &&
+         SubsetExact(src_mac_, other.src_mac_) &&
+         SubsetExact(dst_mac_, other.dst_mac_) &&
          SubsetPrefix(src_ip_, other.src_ip_) &&
          SubsetPrefix(dst_ip_, other.dst_ip_) &&
          SubsetExact(proto_, other.proto_) &&
@@ -252,7 +215,6 @@ FieldMatch& FieldMatch::ClearField(Field field) {
       break;
     case Field::kDstMac:
       dst_mac_.reset();
-      dst_mac_mask_.reset();
       break;
     case Field::kSrcIp:
       src_ip_.reset();
@@ -314,9 +276,6 @@ std::string FieldMatch::ToString() const {
   if (dst_mac_) {
     sep();
     os << "dst_mac=" << *dst_mac_;
-    if (dst_mac_mask_) {
-      os << "/0x" << std::hex << *dst_mac_mask_ << std::dec;
-    }
   }
   if (src_ip_) {
     sep();
@@ -350,9 +309,6 @@ std::size_t HashValue(const FieldMatch& match) {
   HashField(seed, match.in_port());
   HashField(seed, match.src_mac());
   HashField(seed, match.dst_mac());
-  if (match.dst_mac() && match.dst_mac_is_masked()) {
-    HashCombine(seed, std::hash<std::uint64_t>{}(match.dst_mac_mask()));
-  }
   HashField(seed, match.src_ip());
   HashField(seed, match.dst_ip());
   HashField(seed, match.proto());
@@ -365,10 +321,7 @@ MaskSignature MaskSignatureOf(const FieldMatch& match) {
   MaskSignature sig;
   if (match.in_port()) sig.fields |= FieldBit(Field::kInPort);
   if (match.src_mac()) sig.fields |= FieldBit(Field::kSrcMac);
-  if (match.dst_mac()) {
-    sig.fields |= FieldBit(Field::kDstMac);
-    sig.dst_mac_mask = match.dst_mac_mask();
-  }
+  if (match.dst_mac()) sig.fields |= FieldBit(Field::kDstMac);
   if (match.src_ip()) {
     sig.fields |= FieldBit(Field::kSrcIp);
     sig.src_ip_bits = match.src_ip()->length();
@@ -416,7 +369,7 @@ MaskedKey PackKey(const MaskSignature& sig, PortId in_port,
     key[2] |= src_mac;
   }
   if (sig.fields & FieldBit(Field::kDstMac)) {
-    key[3] = dst_mac & sig.dst_mac_mask;
+    key[3] = dst_mac;
   }
   return key;
 }

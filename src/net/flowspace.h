@@ -43,10 +43,6 @@ enum class Field : std::uint8_t {
 
 std::string_view FieldName(Field field);
 
-// All 48 bits of a MAC address. A masked dst-MAC constraint with this mask
-// is the same constraint as an exact match, and is normalized to one.
-inline constexpr std::uint64_t kFullMacMask = 0xFFFFFFFFFFFFull;
-
 class FieldMatch {
  public:
   // The wildcard match.
@@ -56,13 +52,6 @@ class FieldMatch {
   static FieldMatch InPort(PortId port);
   static FieldMatch SrcMac(MacAddress mac);
   static FieldMatch DstMac(MacAddress mac);
-  // Ternary dst-MAC constraint: matches headers with
-  // (dst_mac & mask) == (value & mask). The stored value is pre-masked so
-  // projecting the match under its signature equals projecting a matching
-  // header (the classifier hinge, see MaskSignature below). A full mask
-  // normalizes to the exact-match representation, so DstMacMasked(v,
-  // kFullMacMask) == DstMac(v).
-  static FieldMatch DstMacMasked(MacAddress value, std::uint64_t mask);
   static FieldMatch SrcIp(IPv4Prefix prefix);
   static FieldMatch DstIp(IPv4Prefix prefix);
   static FieldMatch Proto(std::uint8_t proto);
@@ -73,7 +62,6 @@ class FieldMatch {
   FieldMatch& WithInPort(PortId port);
   FieldMatch& WithSrcMac(MacAddress mac);
   FieldMatch& WithDstMac(MacAddress mac);
-  FieldMatch& WithDstMacMasked(MacAddress value, std::uint64_t mask);
   FieldMatch& WithSrcIp(IPv4Prefix prefix);
   FieldMatch& WithDstIp(IPv4Prefix prefix);
   FieldMatch& WithProto(std::uint8_t proto);
@@ -84,12 +72,6 @@ class FieldMatch {
   const std::optional<PortId>& in_port() const { return in_port_; }
   const std::optional<MacAddress>& src_mac() const { return src_mac_; }
   const std::optional<MacAddress>& dst_mac() const { return dst_mac_; }
-  // The dst-MAC mask in effect: kFullMacMask for exact matches, the
-  // ternary mask otherwise. Meaningful only when dst_mac() is engaged.
-  std::uint64_t dst_mac_mask() const {
-    return dst_mac_mask_ ? *dst_mac_mask_ : kFullMacMask;
-  }
-  bool dst_mac_is_masked() const { return dst_mac_mask_.has_value(); }
   const std::optional<IPv4Prefix>& src_ip() const { return src_ip_; }
   const std::optional<IPv4Prefix>& dst_ip() const { return dst_ip_; }
   const std::optional<std::uint8_t>& proto() const { return proto_; }
@@ -129,9 +111,6 @@ class FieldMatch {
   std::optional<PortId> in_port_;
   std::optional<MacAddress> src_mac_;
   std::optional<MacAddress> dst_mac_;
-  // Engaged only for ternary dst-MAC constraints; an exact match keeps it
-  // disengaged (never holds kFullMacMask) so operator== stays structural.
-  std::optional<std::uint64_t> dst_mac_mask_;
   std::optional<IPv4Prefix> src_ip_;
   std::optional<IPv4Prefix> dst_ip_;
   std::optional<std::uint8_t> proto_;
@@ -162,10 +141,6 @@ struct MaskSignature {
   std::uint8_t fields = 0;       // FieldBit(f) set when f is constrained
   std::uint8_t src_ip_bits = 0;  // prefix length; meaningful iff kSrcIp set
   std::uint8_t dst_ip_bits = 0;  // prefix length; meaningful iff kDstIp set
-  // Ternary dst-MAC mask; meaningful iff kDstMac set (kFullMacMask for an
-  // exact dst-MAC match). Like the IP prefix lengths, it keeps matches
-  // with different masks in different tuples so key equality stays exact.
-  std::uint64_t dst_mac_mask = 0;
 
   friend constexpr auto operator<=>(const MaskSignature&,
                                     const MaskSignature&) = default;

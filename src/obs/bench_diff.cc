@@ -103,27 +103,14 @@ BenchDiff DiffMetrics(const json::Value& before, const json::Value& after,
   walk(Section(before, "gauges"), Section(after, "gauges"), "gauge",
        [&](const std::string& name, const json::Value& b,
            const json::Value& a) {
-         // The rule-reduction floor is absolute and (like the convergence
-         // p99 band) applies even when before == after: an after-side run
-         // below the floor is a regression no matter what it is compared
-         // against.
-         bool regressed = false;
-         std::string note;
-         if (options.min_rule_reduction > 0.0 &&
-             name.rfind("rules.isdx_reduction", 0) == 0 &&
-             a.number < options.min_rule_reduction) {
-           regressed = true;
-           std::ostringstream os;
-           os << "iSDX rule reduction " << a.number << " < floor "
-              << options.min_rule_reduction;
-           note = os.str();
-         }
-         if (b.number == a.number && !regressed) return;
+         if (b.number == a.number) return;
          // Two gauges carry hard absolute bands; other gauges are shape
          // descriptions and stay informational. The telemetry band is the
          // exact ratio gauge only — its overhead_ns and
          // overhead_ratio_compiled companions live on other scales.
-         if (!regressed && name == "telemetry.overhead_ratio" &&
+         bool regressed = false;
+         std::string note;
+         if (name == "telemetry.overhead_ratio" &&
              a.number > options.max_telemetry_overhead) {
            regressed = true;
            std::ostringstream os;

@@ -64,13 +64,6 @@ struct BenchDiffOptions {
   // tracker-on vs tracker-off time on the ingest+batch path, measured by
   // microbench_core's gate. Absolute budget, exact-name gauge only.
   double max_convergence_overhead = 1.05;
-  // "rules.isdx_reduction"-prefixed gauges carry the legacy-rules over
-  // encoded-rules ratio measured by fig7's iSDX column (sdx/reach.h,
-  // DESIGN.md §14). Absolute floor like the fastpath band, 0 (off) by
-  // default; the CI bench lane opts in via --min-rule-reduction. Checked
-  // whenever the after value sits below the floor, even when
-  // before == after.
-  double min_rule_reduction = 0.0;
 };
 
 struct BenchDelta {

@@ -72,8 +72,8 @@ enum class JournalEventType : std::uint8_t {
                            // detail=prefix. The ingest stamp ConvergenceTracker
                            // measures queue-wait from.
   kRuntimeOptionsChanged,   // SdxRuntime::Configure (arg0/arg1 = new/old
-                            // packed {compile.incremental<<1, encoded_vmacs
-                            // <<3, linear_backend<<4}; bits 0 and 2 are
+                            // packed {compile.incremental<<1,
+                            // linear_backend<<4}; bits 0, 2 and 3 are
                             // unused; arg2 = new batch window)
   kTelemetryOptionsChanged,  // ConfigureTelemetry (arg0/arg1 = new/old packed
                              // {journal, flow<<1, convergence<<2,

@@ -28,18 +28,16 @@ void RouteServer::DenyExport(AsNumber announcer, AsNumber receiver,
   export_denies_.insert({announcer, receiver, prefix});
   ++config_version_;
   // The receiver's view of this prefix may have changed.
-  if (auto change = RecomputeBest(receiver, prefix); change && on_change_) {
-    on_change_(*change);
-  }
+  auto it = participants_.find(receiver);
+  if (it != participants_.end()) RecomputeBest(receiver, it->second, prefix);
 }
 
 void RouteServer::AllowExport(AsNumber announcer, AsNumber receiver,
                               const net::IPv4Prefix& prefix) {
   export_denies_.erase({announcer, receiver, prefix});
   ++config_version_;
-  if (auto change = RecomputeBest(receiver, prefix); change && on_change_) {
-    on_change_(*change);
-  }
+  auto it = participants_.find(receiver);
+  if (it != participants_.end()) RecomputeBest(receiver, it->second, prefix);
 }
 
 bool RouteServer::ExportAllowed(AsNumber announcer, AsNumber receiver,
@@ -133,17 +131,14 @@ std::size_t RouteServer::HandleUpdate(const bgp::BgpUpdate& update) {
   std::size_t changes = 0;
   for (auto& [receiver, state] : participants_) {
     if (receiver == from) continue;
-    if (auto change = RecomputeBest(receiver, prefix)) {
-      if (sinks_.journal != nullptr) {
-        sinks_.journal->Record(
-            obs::JournalEventType::kRsDecision, provenance, receiver,
-            change->new_best ? change->new_best->peer_as : 0,
-            change->old_best ? change->old_best->peer_as : 0,
-            prefix.ToString());
-      }
-      ++changes;
-      if (on_change_) on_change_(*change);
+    const auto change = RecomputeBest(receiver, state, prefix);
+    if (!change) continue;
+    if (sinks_.journal != nullptr) {
+      sinks_.journal->Record(obs::JournalEventType::kRsDecision, provenance,
+                             receiver, change->new_peer, change->old_peer,
+                             prefix.ToString());
     }
+    ++changes;
   }
   return changes;
 }
@@ -187,12 +182,9 @@ void RouteServer::OnBestRouteChange(
   on_change_ = std::move(callback);
 }
 
-std::optional<BestRouteChange> RouteServer::RecomputeBest(
-    AsNumber receiver, const net::IPv4Prefix& prefix) {
-  auto it = participants_.find(receiver);
-  if (it == participants_.end()) return std::nullopt;
-  ParticipantState& state = it->second;
-
+std::optional<RouteServer::PeerChange> RouteServer::RecomputeBest(
+    AsNumber receiver, ParticipantState& state,
+    const net::IPv4Prefix& prefix) {
   // Candidate routes: every announcer's route for this prefix that the
   // export policy lets `receiver` see and that does not loop through it.
   const bgp::BgpRoute* best = nullptr;
@@ -222,19 +214,28 @@ std::optional<BestRouteChange> RouteServer::RecomputeBest(
   }
 
   const bgp::BgpRoute* old_entry = state.loc_rib.Find(prefix);
-  std::optional<bgp::BgpRoute> old_best =
-      old_entry ? std::optional<bgp::BgpRoute>(*old_entry) : std::nullopt;
-
-  if (best == nullptr) {
-    if (!old_best) return std::nullopt;
-    state.loc_rib.Remove(prefix);
-    ++state.counters.best_route_changes;
-    return BestRouteChange{receiver, prefix, old_best, std::nullopt};
+  if (best == nullptr ? old_entry == nullptr
+                      : old_entry != nullptr && *old_entry == *best) {
+    return std::nullopt;
   }
-  if (old_best && *old_best == *best) return std::nullopt;
-  state.loc_rib.Set(*best);
+  // Read what the caller and the callback need before Set/Remove
+  // overwrites the old entry.
+  const PeerChange peers{best != nullptr ? best->peer_as : 0,
+                         old_entry != nullptr ? old_entry->peer_as : 0};
+  std::optional<BestRouteChange> change;
+  if (on_change_) {
+    change = BestRouteChange{receiver, prefix, std::nullopt, std::nullopt};
+    if (old_entry != nullptr) change->old_best = *old_entry;
+    if (best != nullptr) change->new_best = *best;
+  }
+  if (best == nullptr) {
+    state.loc_rib.Remove(prefix);
+  } else {
+    state.loc_rib.Set(*best);
+  }
   ++state.counters.best_route_changes;
-  return BestRouteChange{receiver, prefix, old_best, *best};
+  if (change) on_change_(*change);
+  return peers;
 }
 
 const ParticipantCounters* RouteServer::CountersFor(AsNumber as) const {
@@ -320,13 +321,6 @@ std::vector<net::IPv4Prefix> RouteServer::PrefixesAnnouncedBy(
   it->second.adj_rib_in.ForEach(
       [&](const bgp::BgpRoute& route) { out.push_back(route.prefix); });
   return out;
-}
-
-const std::set<AsNumber>* RouteServer::AnnouncersOf(
-    const net::IPv4Prefix& prefix) const {
-  auto it = announcers_.find(prefix);
-  if (it == announcers_.end()) return nullptr;
-  return &it->second;
 }
 
 }  // namespace sdx::rs

@@ -161,11 +161,6 @@ class RouteServer {
   // Prefixes announced by one participant.
   std::vector<net::IPv4Prefix> PrefixesAnnouncedBy(AsNumber as) const;
 
-  // Participants that announced `prefix` (regardless of export policy);
-  // nullptr when nobody did. Feeds the per-group reachability bitmaps
-  // (sdx/reach.h) without copying the set per query.
-  const std::set<AsNumber>* AnnouncersOf(const net::IPv4Prefix& prefix) const;
-
   std::uint64_t updates_processed() const { return updates_processed_; }
 
   // Bumped by every mutation that can change routing outcomes through a
@@ -191,10 +186,20 @@ class RouteServer {
     ParticipantCounters counters;
   };
 
-  // Recomputes the best route for (receiver, prefix); returns the change
-  // if the LocRib entry changed.
-  std::optional<BestRouteChange> RecomputeBest(AsNumber receiver,
-                                               const net::IPv4Prefix& prefix);
+  // Peer ASes of the old and new best route of one LocRib change; 0 = no
+  // route.
+  struct PeerChange {
+    AsNumber new_peer = 0;
+    AsNumber old_peer = 0;
+  };
+
+  // Recomputes the best route for (receiver, prefix); returns the peers of
+  // the change if the LocRib entry changed, after reporting it to the
+  // OnBestRouteChange callback. The BestRouteChange copies of both routes
+  // are made only when a callback is set.
+  std::optional<PeerChange> RecomputeBest(AsNumber receiver,
+                                          ParticipantState& state,
+                                          const net::IPv4Prefix& prefix);
 
   std::map<AsNumber, ParticipantState> participants_;
   std::set<std::tuple<AsNumber, AsNumber, net::IPv4Prefix>> export_denies_;

@@ -1,7 +1,6 @@
 #include "sdx/composer.h"
 
 #include <algorithm>
-#include <set>
 
 #include "sdx/bgp_filter.h"
 #include "sdx/default_fwd.h"
@@ -74,49 +73,11 @@ policy::Classifier Composer::ClauseBlock(AsNumber sender,
   return out;
 }
 
-policy::Classifier Composer::EncodedClauseBlock(
-    AsNumber sender, const OutboundClause& clause, int clause_index) const {
-  // Compile the guard once (isolation ∧ clause match → target ingress),
-  // then restrict it to packets whose VMAC carries the encoded marker and
-  // this clause's eligibility bit. The ARP responder only sets the bit in
-  // answers to this sender for eligible groups, so the single masked rule
-  // covers exactly the packets the legacy per-group expansion would.
-  Policy base = Policy::Filter(OutboundIsolation(*topo_, sender) &&
-                               clause.match) >>
-                Policy::Fwd(topo_->IngressPort(clause.to));
-  Classifier base_block = Compile(base);
-  const net::FieldMatch bit = net::FieldMatch::DstMacMasked(
-      EncodeVmac(0, 1u << clause_index),
-      kEncodedMarkerMask | (1ull << clause_index));
-  std::vector<Rule> rules;
-  rules.reserve(base_block.size() + 1);
-  for (const Rule& rule : base_block.rules()) {
-    if (rule.actions.empty()) continue;
-    auto match = rule.match.Intersect(bit);
-    if (!match) continue;
-    rules.push_back(Rule{std::move(*match), rule.actions});
-  }
-  rules.push_back(Rule{net::FieldMatch(), {}});
-  Classifier out(std::move(rules));
-  out.DedupMatches();
-  return out;
-}
-
 CompiledSdx Composer::Compose(
     const std::map<AsNumber, Participant>& participants,
     const GroupTable& groups, const ClauseSetIds& clause_set_ids,
     obs::Tracer* tracer, util::ThreadPool* pool, BlockMemo* memo,
-    ComposeOutcome* outcome, VmacEncoding encoding,
-    const Roster* roster) const {
-  const bool encoded = encoding == VmacEncoding::kEncoded;
-  // Senders with more outbound clauses than the VMAC has eligibility bits
-  // keep the legacy per-group rules and legacy ARP answers wholesale —
-  // mixing encodings within one sender would leave clauses ≥ 24
-  // indistinguishable in the overflow exact-match rules.
-  auto is_overflow_sender = [&](const Participant& sender) {
-    return encoded && sender.outbound().size() >
-                          static_cast<std::size_t>(kEncodedClauseBits);
-  };
+    ComposeOutcome* outcome) const {
   CompiledSdx result;
   // Inbound blocks, compiled once per participant and reused for every
   // sender that targets them.
@@ -155,7 +116,6 @@ CompiledSdx Composer::Compose(
     // belongs to some participant whose own policies must not capture the
     // re-injected traffic (see ChainStagePolicy).
     struct ChainJob {
-      const Participant* participant = nullptr;
       BlockMemo::Entry* entry = nullptr;
       Policy policy = Policy::Drop();
     };
@@ -165,8 +125,6 @@ CompiledSdx Composer::Compose(
       const std::vector<GroupId>* group_ids = nullptr;
       const Classifier* target = nullptr;
       BlockMemo::Entry* entry = nullptr;
-      int clause_index = 0;
-      bool masked = false;  // encoded masked rule instead of per-group rules
     };
     std::vector<const BlockMemo::Entry*> append_order;
     std::vector<ChainJob> chain_jobs;
@@ -186,8 +144,7 @@ CompiledSdx Composer::Compose(
         continue;
       }
       entry.fingerprint = fp.value();
-      chain_jobs.push_back(
-          ChainJob{&participant, &entry, std::move(chain_policy)});
+      chain_jobs.push_back(ChainJob{&entry, std::move(chain_policy)});
       tally(/*reused=*/false);
     }
 
@@ -199,37 +156,27 @@ CompiledSdx Composer::Compose(
     // the composition ("most SDX policies are disjoint").
     for (const auto& [as, sender] : participants) {
       const auto& clauses = sender.outbound();
-      const bool masked = encoded && !is_overflow_sender(sender);
       for (int i = 0; i < static_cast<int>(clauses.size()); ++i) {
         const OutboundClause& clause = clauses[static_cast<std::size_t>(i)];
         auto set_it = clause_set_ids.find({as, i});
         if (set_it == clause_set_ids.end()) continue;
         auto groups_it = groups.groups_in_set.find(set_it->second);
-        // Masked blocks are emitted even when the clause's behavior set is
-        // currently empty: the rule is dead until an ARP answer sets its
-        // bit, and fast-path groups created between full compiles rely on
-        // it already being installed (the slice adds no clause rules).
-        if (!masked && groups_it == groups.groups_in_set.end()) continue;
+        if (groups_it == groups.groups_in_set.end()) continue;
         auto target = inbound_blocks.find(clause.to);
         if (target == inbound_blocks.end()) continue;
         // The block is a pure function of the clause's own content (not the
         // sender's whole policy — editing one clause must not dirty its
-        // siblings), the target's inbound block, and — legacy shape only —
-        // the ordered content of its eligible groups. Masked blocks are
-        // group-independent, so group churn never dirties them; the salt
-        // ("override" vs "override-enc") keeps the two shapes from reusing
-        // each other's rules across an encoding flip. ToString is a full
-        // serialization of match, destination restrictions, and target.
+        // siblings), the target's inbound block, and the ordered content of
+        // its eligible groups. ToString is a full serialization of match,
+        // destination restrictions, and target.
         util::Fingerprint fp;
-        fp.Mix(masked ? "override-enc" : "override");
+        fp.Mix("override");
         fp.Mix(as);
         fp.Mix(static_cast<std::uint64_t>(i));
         fp.Mix(clause.ToString());
         fp.Mix(clause.to);
         fp.Mix(participants.at(clause.to).inbound_version());
-        if (!masked) {
-          for (GroupId id : groups_it->second) fp.Mix(groups.groups[id].sig);
-        }
+        for (GroupId id : groups_it->second) fp.Mix(groups.groups[id].sig);
         BlockMemo::Entry& entry = blocks.override_blocks[{as, i}];
         append_order.push_back(&entry);
         if (entry.fingerprint == fp.value()) {
@@ -237,12 +184,8 @@ CompiledSdx Composer::Compose(
           continue;
         }
         entry.fingerprint = fp.value();
-        const std::vector<GroupId>* group_ids =
-            groups_it != groups.groups_in_set.end() ? &groups_it->second
-                                                    : nullptr;
-        override_jobs.push_back(OverrideJob{as, &clause, group_ids,
-                                            &target->second, &entry, i,
-                                            masked});
+        override_jobs.push_back(OverrideJob{as, &clause, &groups_it->second,
+                                            &target->second, &entry});
         tally(/*reused=*/false);
       }
     }
@@ -257,40 +200,14 @@ CompiledSdx Composer::Compose(
         return;
       }
       OverrideJob& job = override_jobs[j - chain_jobs.size()];
-      if (job.masked) {
-        job.entry->rules = ForwardingRules(
-            EncodedClauseBlock(job.sender, *job.clause, job.clause_index)
-                .Sequential(*job.target));
-        return;
-      }
       job.entry->rules = ForwardingRules(
           ClauseBlock(job.sender, *job.clause, *job.group_ids, groups)
               .Sequential(*job.target));
     };
     if (pool == nullptr) {
       for (std::size_t j = 0; j < total_jobs; ++j) run_job(j);
-    } else if (!encoded) {
-      pool->ParallelFor(total_jobs, run_job);
     } else {
-      // Encoded mode: group the stale jobs into per-participant compilation
-      // units — one unit per sender AS, compiled independently on the pool.
-      // The unit count matches the natural parallelism of the encoding
-      // (rules per sender, not per group). Pass C below still merges in
-      // append_order, so the result is byte-identical to the sequential
-      // path.
-      std::map<AsNumber, std::vector<std::size_t>> units;
-      for (std::size_t j = 0; j < chain_jobs.size(); ++j) {
-        units[chain_jobs[j].participant->as()].push_back(j);
-      }
-      for (std::size_t j = 0; j < override_jobs.size(); ++j) {
-        units[override_jobs[j].sender].push_back(chain_jobs.size() + j);
-      }
-      std::vector<const std::vector<std::size_t>*> unit_jobs;
-      unit_jobs.reserve(units.size());
-      for (const auto& [as, jobs] : units) unit_jobs.push_back(&jobs);
-      pool->ParallelFor(unit_jobs.size(), [&](std::size_t u) {
-        for (std::size_t j : *unit_jobs[u]) run_job(j);
-      });
+      pool->ParallelFor(total_jobs, run_job);
     }
 
     // Pass C (sequential): deterministic merge, identical to the order the
@@ -305,29 +222,14 @@ CompiledSdx Composer::Compose(
   {
     obs::TraceSpan span(tracer, "default_blocks");
 
-    // Overflow-fallback senders (encoded mode only): they keep legacy ARP
-    // answers, so the default block must carry their per-group rules.
-    std::vector<AsNumber> overflow_senders;
-    if (encoded) {
-      for (const auto& [as, sender] : participants) {
-        if (is_overflow_sender(sender)) overflow_senders.push_back(as);
-      }
-    }
-
-    // The legacy default block depends on every inbound block and every
-    // group; the encoded one only on the roster (one masked rule per
-    // next-hop participant) — plus the group table when overflow senders
-    // exist, since their rules stay per-group.
+    // The default block depends on every inbound block and every group.
     util::Fingerprint fp;
-    fp.Mix(encoded ? "default-enc" : "default");
+    fp.Mix("default");
     for (const auto& [as, participant] : participants) {
       fp.Mix(as);
       fp.Mix(participant.inbound_version());
     }
-    for (AsNumber as : overflow_senders) fp.Mix(as);
-    if (!encoded || !overflow_senders.empty()) {
-      for (const AnnotatedGroup& group : groups.groups) fp.Mix(group.sig);
-    }
+    for (const AnnotatedGroup& group : groups.groups) fp.Mix(group.sig);
     BlockMemo::Entry& entry = blocks.default_block;
     if (entry.fingerprint != fp.value()) {
       entry.fingerprint = fp.value();
@@ -340,34 +242,12 @@ CompiledSdx Composer::Compose(
       }
 
       // Per-sender default exceptions, in-port-qualified so they are
-      // disjoint across senders (and across groups by VMAC).
-      //
-      // Legacy: senders whose own best route for a group differs from the
-      // shared default (see AnnotatedGroup). Encoded: per-sender next hops
-      // ride in the ARP answer instead, but overflow-fallback senders emit
-      // legacy VMACs, so each needs a rule per group — with the per-sender
-      // hop when usable, else the shared best hop the legacy shared block
-      // would have caught their packet with.
+      // disjoint across senders (and across groups by VMAC): senders whose
+      // own best route for a group differs from the shared default (see
+      // AnnotatedGroup).
       std::vector<Rule> exception_rules;
       for (const AnnotatedGroup& group : groups.groups) {
-        if (!encoded) {
-          for (const auto& [sender, hop] : group.per_sender_best) {
-            if (hop == 0 || !participants.contains(hop)) continue;
-            const net::PortId ingress = topo_->IngressPort(hop);
-            for (net::PortId port : topo_->PhysicalPortIds(sender)) {
-              exception_rules.push_back(
-                  Rule{net::FieldMatch::InPort(port).WithDstMac(
-                           group.binding.vmac),
-                       {dataplane::Action{{}, ingress}}});
-            }
-          }
-          continue;
-        }
-        for (AsNumber sender : overflow_senders) {
-          auto it = group.per_sender_best.find(sender);
-          AsNumber hop =
-              it != group.per_sender_best.end() ? it->second : group.best_hop;
-          if (hop == 0 || !participants.contains(hop)) hop = group.best_hop;
+        for (const auto& [sender, hop] : group.per_sender_best) {
           if (hop == 0 || !participants.contains(hop)) continue;
           const net::PortId ingress = topo_->IngressPort(hop);
           for (net::PortId port : topo_->PhysicalPortIds(sender)) {
@@ -386,35 +266,17 @@ CompiledSdx Composer::Compose(
       }
 
       // Shared default block: forwarding into every inbound block, rules
-      // disjoint by dst MAC. Legacy: one exact-VMAC rule per group.
-      // Encoded: one masked rule per participant matching the marker plus
-      // that participant's roster index in the next-hop field — the group
-      // count drops out entirely.
+      // disjoint by dst MAC — one exact-VMAC rule per group.
       std::vector<Rule> default_rules;
-      default_rules.reserve((encoded ? participants.size()
-                                     : groups.groups.size()) +
+      default_rules.reserve(groups.groups.size() +
                             topo_->physical_port_count() + 1);
-      if (encoded) {
-        for (const auto& [as, participant] : participants) {
-          const std::uint32_t index =
-              roster != nullptr ? roster->IndexOf(as) : 0;
-          if (index == 0) continue;
-          default_rules.push_back(
-              Rule{net::FieldMatch::DstMacMasked(
-                       EncodeVmac(index, 0),
-                       kEncodedMarkerMask | kEncodedNhMask),
-                   {dataplane::Action{{}, topo_->IngressPort(as)}}});
+      for (const AnnotatedGroup& group : groups.groups) {
+        if (group.best_hop == 0 || !participants.contains(group.best_hop)) {
+          continue;
         }
-      } else {
-        for (const AnnotatedGroup& group : groups.groups) {
-          if (group.best_hop == 0 || !participants.contains(group.best_hop)) {
-            continue;
-          }
-          default_rules.push_back(
-              Rule{net::FieldMatch::DstMac(group.binding.vmac),
-                   {dataplane::Action{
-                       {}, topo_->IngressPort(group.best_hop)}}});
-        }
+        default_rules.push_back(
+            Rule{net::FieldMatch::DstMac(group.binding.vmac),
+                 {dataplane::Action{{}, topo_->IngressPort(group.best_hop)}}});
       }
       for (const PhysicalPort& port : topo_->AllPhysicalPorts()) {
         default_rules.push_back(
@@ -444,26 +306,16 @@ CompiledSdx Composer::Compose(
 policy::Classifier Composer::ComposeForGroup(
     const std::map<AsNumber, Participant>& participants,
     const InboundBlocks& inbound_blocks, const AnnotatedGroup& group,
-    const ClauseSetIds& clause_set_ids, VmacEncoding encoding) const {
-  const bool encoded = encoding == VmacEncoding::kEncoded;
+    const ClauseSetIds& clause_set_ids) const {
   std::vector<Rule> rules;
   const Predicate vmac = Predicate::DstMac(group.binding.vmac);
   auto inbound_block = [&](AsNumber target) -> const Classifier* {
     auto it = inbound_blocks.find(target);
     return it == inbound_blocks.end() ? nullptr : &it->second;
   };
-  // Encoded mode: the masked rules from the last full compile already
-  // cover the new group for every sender answered with an encoded VMAC —
-  // the ARP answer IS the update. Only overflow-fallback senders (legacy
-  // answers) still need per-group rules here.
-  auto slice_sender = [&](const Participant& sender) {
-    return !encoded || sender.outbound().size() >
-                           static_cast<std::size_t>(kEncodedClauseBits);
-  };
 
   // Override rules for every clause whose behavior set contains the group.
   for (const auto& [as, sender] : participants) {
-    if (!slice_sender(sender)) continue;
     const auto& clauses = sender.outbound();
     for (int i = 0; i < static_cast<int>(clauses.size()); ++i) {
       auto set_it = clause_set_ids.find({as, i});
@@ -482,39 +334,21 @@ policy::Classifier Composer::ComposeForGroup(
     }
   }
 
-  if (!encoded) {
-    // Per-sender default exceptions for the group.
-    for (const auto& [sender, hop] : group.per_sender_best) {
-      if (hop == 0) continue;
-      const Classifier* target = inbound_block(hop);
-      if (target == nullptr) continue;
-      Policy p = Policy::Filter(OutboundIsolation(*topo_, sender) && vmac) >>
-                 Policy::Fwd(topo_->IngressPort(hop));
-      AppendForwardingRules(Compile(p).Sequential(*target), rules);
-    }
+  // Per-sender default exceptions for the group.
+  for (const auto& [sender, hop] : group.per_sender_best) {
+    if (hop == 0) continue;
+    const Classifier* target = inbound_block(hop);
+    if (target == nullptr) continue;
+    Policy p = Policy::Filter(OutboundIsolation(*topo_, sender) && vmac) >>
+               Policy::Fwd(topo_->IngressPort(hop));
+    AppendForwardingRules(Compile(p).Sequential(*target), rules);
+  }
 
-    // Default rule for the group.
-    if (group.best_hop != 0) {
-      if (const Classifier* target = inbound_block(group.best_hop)) {
-        Policy p = Policy::Filter(vmac) >>
-                   Policy::Fwd(topo_->IngressPort(group.best_hop));
-        AppendForwardingRules(Compile(p).Sequential(*target), rules);
-      }
-    }
-  } else {
-    // Per-group defaults for the overflow-fallback senders, mirroring the
-    // encoded default block: per-sender hop when usable, else best hop.
-    for (const auto& [as, sender] : participants) {
-      if (!slice_sender(sender)) continue;
-      auto it = group.per_sender_best.find(as);
-      AsNumber hop =
-          it != group.per_sender_best.end() ? it->second : group.best_hop;
-      if (hop == 0 || !inbound_blocks.contains(hop)) hop = group.best_hop;
-      if (hop == 0) continue;
-      const Classifier* target = inbound_block(hop);
-      if (target == nullptr) continue;
-      Policy p = Policy::Filter(OutboundIsolation(*topo_, as) && vmac) >>
-                 Policy::Fwd(topo_->IngressPort(hop));
+  // Default rule for the group.
+  if (group.best_hop != 0) {
+    if (const Classifier* target = inbound_block(group.best_hop)) {
+      Policy p = Policy::Filter(vmac) >>
+                 Policy::Fwd(topo_->IngressPort(group.best_hop));
       AppendForwardingRules(Compile(p).Sequential(*target), rules);
     }
   }

@@ -25,18 +25,6 @@
 // Faithful path (BuildFaithfulPolicy): literally (ΣPi'') >> (ΣPi'') over
 // per-peer virtual ports with destination-prefix BGP filters and real
 // next-hop MACs — no VNH optimization. Exponential-ish; small inputs only.
-//
-// Encoded path (VmacEncoding::kEncoded, sdx/reach.h): the VMAC itself
-// carries per-sender clause-eligibility bits and a next-hop roster index,
-// so each outbound clause compiles to masked-MAC rules matching its own
-// bit — independent of the prefix groups — and the default block holds one
-// masked next-hop rule per participant. Rule counts stop scaling with
-// groups × policies (the iSDX observation); senders whose clause index
-// exceeds kEncodedClauseBits fall back to the legacy per-group rules and
-// legacy ARP answers, preserving exact packet-level behavior at any policy
-// size. In encoded mode the block compilations are grouped into
-// per-participant compilation units that run independently on the pool and
-// merge deterministically in (sender AS, clause index) order.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +65,7 @@ struct CompiledSdx {
 // content signatures of the clause's eligible prefix groups
 // (AnnotatedGroup::sig — prefixes, VNH/VMAC binding, routing). A block is
 // reused iff its fingerprint matches exactly, so the memo is self-
-// validating: it never needs an external reset, even across roster growth.
+// validating: it never needs an external reset, even as participants join.
 struct BlockMemo {
   struct Entry {
     std::uint64_t fingerprint = 0;
@@ -122,34 +110,22 @@ class Composer {
   // `memo` (optional) enables incremental composition: blocks whose
   // fingerprints match the previous generation are appended from the memo
   // without recompiling. `outcome` (optional) reports the reuse split.
-  // Fingerprints are salted per encoding mode, so flipping the mode
-  // invalidates exactly the blocks whose shape changes.
-  //
-  // `encoding` selects the VMAC rule shape (must be kLegacy or kEncoded —
-  // kAuto is resolved by the runtime before composing); `roster` is
-  // required for kEncoded and supplies the next-hop index space.
   CompiledSdx Compose(const std::map<AsNumber, Participant>& participants,
                       const GroupTable& groups,
                       const ClauseSetIds& clause_set_ids,
                       obs::Tracer* tracer = nullptr,
                       util::ThreadPool* pool = nullptr,
                       BlockMemo* memo = nullptr,
-                      ComposeOutcome* outcome = nullptr,
-                      VmacEncoding encoding = VmacEncoding::kLegacy,
-                      const Roster* roster = nullptr) const;
+                      ComposeOutcome* outcome = nullptr) const;
 
   // Compiles just the rules affected by one prefix group — the §4.3.2 fast
   // path. Produces the group's default rule plus any override rules whose
   // clause covers a prefix of the group, already sequenced with the
-  // relevant `inbound_blocks` (those of the last Compose). Under kEncoded
-  // the masked rules installed by the full compile already cover new groups
-  // (the ARP answer carries the bits), so the slice only holds rules for
-  // overflow-fallback senders — usually none.
+  // relevant `inbound_blocks` (those of the last Compose).
   policy::Classifier ComposeForGroup(
       const std::map<AsNumber, Participant>& participants,
       const InboundBlocks& inbound_blocks, const AnnotatedGroup& group,
-      const ClauseSetIds& clause_set_ids,
-      VmacEncoding encoding = VmacEncoding::kLegacy) const;
+      const ClauseSetIds& clause_set_ids) const;
 
   // The unoptimized §4.1 composition (validation/ablation only).
   policy::Policy BuildFaithfulPolicy(
@@ -166,14 +142,6 @@ class Composer {
   policy::Classifier ClauseBlock(AsNumber sender, const OutboundClause& clause,
                                  const std::vector<GroupId>& group_ids,
                                  const GroupTable& groups) const;
-
-  // Encoded-mode counterpart of ClauseBlock: the clause compiled once and
-  // restricted to packets whose VMAC carries the 0x0E marker and clause
-  // bit `clause_index` — no per-group expansion, so the block is group-
-  // count-independent and stays valid as groups churn.
-  policy::Classifier EncodedClauseBlock(AsNumber sender,
-                                        const OutboundClause& clause,
-                                        int clause_index) const;
 
   const VirtualTopology* topo_;
   const rs::RouteServer* rs_;

@@ -18,10 +18,14 @@
 #include "bgp/route.h"
 #include "net/ipv4.h"
 #include "sdx/fec.h"
-#include "sdx/reach.h"
 #include "sdx/vnh.h"
 
 namespace sdx::core {
+
+// (sender AS, outbound-clause index) -> behavior-set id used during FEC
+// computation. Owned by the runtime; the composer consumes it to find each
+// clause's eligible groups.
+using ClauseSetIds = std::map<std::pair<bgp::AsNumber, int>, std::uint32_t>;
 
 struct AnnotatedGroup {
   GroupId id = 0;
@@ -39,12 +43,6 @@ struct AnnotatedGroup {
   // receiver's view is part of the FEC signature.
   std::map<bgp::AsNumber, bgp::AsNumber> per_sender_best;
   std::vector<std::uint32_t> member_of;  // behavior-set ids (sorted)
-  // iSDX-style reachability view (reach.h): bit i (1-based roster index)
-  // set when participant i announces every prefix of this group. Purely
-  // introspective — encoded rule emission derives from per_sender_best +
-  // clause eligibility, not from this bitmap — but fig7 and the encoder
-  // consistency checks read it, and it scales past 64 participants.
-  ReachabilityBitmap reach;
   // Content fingerprint over (prefixes, binding, best_hop, per_sender_best),
   // computed by the runtime after annotation. Two groups with equal sigs
   // yield identical compiled rules, so the incremental composer folds the

@@ -8,7 +8,6 @@
 #include <cstddef>
 
 #include "dataplane/flow_table.h"
-#include "sdx/reach.h"
 
 namespace sdx::core {
 
@@ -37,8 +36,6 @@ struct RuntimeOptions {
   // fast path, kLinear the reference scan the equivalence oracle uses.
   dataplane::FlowTable::Backend backend =
       dataplane::FlowTable::Backend::kCompiled;
-  // VMAC encoding mode (sdx/reach.h); resolved at the next FullCompile.
-  VmacEncoding vmac_encoding = VmacEncoding::kAuto;
 
   friend bool operator==(const RuntimeOptions&, const RuntimeOptions&) =
       default;

@@ -56,9 +56,7 @@ std::optional<net::Packet> BorderRouter::EmitPacket(
     if (drop_reason != nullptr) *drop_reason = obs::DropReason::kNoFibRoute;
     return std::nullopt;
   }
-  // Requester-aware resolve: under the encoded-VMAC mode the controller's
-  // answer depends on who asks (sdx/reach.h); legacy bindings ignore it.
-  auto mac = arp.Resolve(*next_hop, as_);
+  auto mac = arp.Resolve(*next_hop);
   if (!mac) {  // unresolvable next hop
     if (drop_reason != nullptr) *drop_reason = obs::DropReason::kArpUnresolved;
     return std::nullopt;

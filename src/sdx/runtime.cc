@@ -1,9 +1,7 @@
 #include "sdx/runtime.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 #include "obs/timer.h"
 #include "sdx/bgp_filter.h"
@@ -510,38 +508,6 @@ void SdxRuntime::RecomputeGroups(obs::Tracer* tracer, bool incremental,
     stable_bindings_.emplace(annotated.prefixes, annotated.binding);
   }
 
-  // Reachability bitmaps (introspective) + mode-appropriate ARP answers.
-  // Every group is (re)bound here: kept bindings were only Bind()ed when
-  // first allocated, and the active encoding may have flipped since —
-  // BindEncoded/Bind displace each other, so this pass is idempotent and
-  // always leaves the responder speaking the active encoding. The per-
-  // group work is independent, so it fans out; binding stays sequential.
-  {
-    const std::vector<AsNumber> policy_senders = PolicySenders();
-    std::vector<dataplane::ArpResponder::EncodedEntry> entries(
-        encoded_active_ ? groups_.groups.size() : 0);
-    auto annotate = [&](std::size_t g) {
-      AnnotatedGroup& group = groups_.groups[g];
-      group.reach = ComputeReach(group, roster_, route_server_);
-      if (encoded_active_) {
-        entries[g] = BuildEncodedArpEntry(group, policy_senders);
-      }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(groups_.groups.size(), annotate);
-    } else {
-      for (std::size_t g = 0; g < groups_.groups.size(); ++g) annotate(g);
-    }
-    for (std::size_t g = 0; g < groups_.groups.size(); ++g) {
-      const AnnotatedGroup& group = groups_.groups[g];
-      if (encoded_active_) {
-        arp_.BindEncoded(group.binding.vnh, std::move(entries[g]));
-      } else {
-        arp_.Bind(group.binding.vnh, group.binding.vmac);
-      }
-    }
-  }
-
   // Dirty FIB entries: RIB churn plus every prefix whose advertised VNH
   // appeared, vanished, or changed.
   if (incremental) {
@@ -622,55 +588,6 @@ void SdxRuntime::ReadvertiseRoutes(bool incremental,
   }
 }
 
-std::vector<AsNumber> SdxRuntime::PolicySenders() const {
-  std::vector<AsNumber> senders;
-  for (const auto& [key, set_id] : clause_set_ids_) {
-    if (senders.empty() || senders.back() != key.first) {
-      senders.push_back(key.first);  // map order: already sorted + unique
-    }
-  }
-  return senders;
-}
-
-dataplane::ArpResponder::EncodedEntry SdxRuntime::BuildEncodedArpEntry(
-    const AnnotatedGroup& group,
-    const std::vector<AsNumber>& policy_senders) const {
-  dataplane::ArpResponder::EncodedEntry entry;
-  entry.default_mac = EncodeVmac(roster_.IndexOf(group.best_hop), 0);
-  // Candidates for a non-default answer: senders with outbound clauses
-  // (clause bits / overflow fallback) and senders with their own best hop.
-  // Everyone else resolves to best hop with no bits — the default.
-  auto consider = [&](AsNumber sender) {
-    if (entry.per_requester.contains(sender)) return;
-    const auto it = participants_.find(sender);
-    net::MacAddress answer;
-    if (it != participants_.end() &&
-        it->second.outbound().size() >
-            static_cast<std::size_t>(kEncodedClauseBits)) {
-      // Overflow fallback: this sender keeps legacy answers + rules.
-      answer = group.binding.vmac;
-    } else {
-      answer = EncodedVmacFor(group, sender, roster_, clause_set_ids_);
-    }
-    if (answer != entry.default_mac) entry.per_requester.emplace(sender, answer);
-  };
-  for (AsNumber sender : policy_senders) consider(sender);
-  for (const auto& [sender, hop] : group.per_sender_best) consider(sender);
-  return entry;
-}
-
-namespace {
-
-VmacEncoding ResolveEncoding(VmacEncoding configured) {
-  if (configured != VmacEncoding::kAuto) return configured;
-  if (const char* env = std::getenv("SDX_VMAC_ENCODING")) {
-    if (std::string_view(env) == "encoded") return VmacEncoding::kEncoded;
-  }
-  return VmacEncoding::kLegacy;
-}
-
-}  // namespace
-
 RuntimeOptions SdxRuntime::Configure(const RuntimeOptions& options) {
   const RuntimeOptions previous = runtime_options();
   options_ = options.compile;
@@ -687,16 +604,12 @@ RuntimeOptions SdxRuntime::Configure(const RuntimeOptions& options) {
   if (options.backend != previous.backend) {
     data_plane_.table().SetBackend(options.backend);
   }
-  vmac_encoding_ = options.vmac_encoding;
   // One consolidated audit event regardless of what changed (args: new/old
-  // packed {compile.incremental<<1, encoded<<3, linear_backend<<4}, new
-  // batch window). Bits 0 and 2 are unused and stay 0, so the other fields
-  // keep their positions in older journals.
+  // packed {compile.incremental<<1, linear_backend<<4}, new batch window).
+  // Bits 0, 2 and 3 are unused and stay 0, so the other fields keep their
+  // positions in older journals.
   const auto pack = [](const RuntimeOptions& o) {
-    const bool encoded =
-        ResolveEncoding(o.vmac_encoding) == VmacEncoding::kEncoded;
     return (static_cast<std::uint64_t>(o.compile.incremental ? 1 : 0) << 1) |
-           (static_cast<std::uint64_t>(encoded ? 1 : 0) << 3) |
            (static_cast<std::uint64_t>(
                 o.backend == dataplane::FlowTable::Backend::kLinear ? 1 : 0)
             << 4);
@@ -708,10 +621,6 @@ RuntimeOptions SdxRuntime::Configure(const RuntimeOptions& options) {
                      pack(options), pack(previous),
                      static_cast<std::uint64_t>(options.batch_window));
   return previous;
-}
-
-VmacEncoding SdxRuntime::ResolvedVmacEncoding() const {
-  return ResolveEncoding(vmac_encoding_);
 }
 
 std::uint64_t SdxRuntime::RosterFingerprint() const {
@@ -751,18 +660,6 @@ CompileStats SdxRuntime::FullCompile() {
   const bool incremental = CanCompileIncrementally();
   util::ThreadPool* pool = CompilePool();
 
-  // Resolve the VMAC encoding and the participant numbering for this
-  // generation before any group/ARP work: RecomputeGroups binds ARP
-  // answers in the active encoding, and the composer's masked rules use
-  // the same roster indices.
-  encoded_active_ = ResolvedVmacEncoding() == VmacEncoding::kEncoded;
-  {
-    std::vector<AsNumber> ases;
-    ases.reserve(participants_.size());
-    for (const auto& [as, participant] : participants_) ases.push_back(as);
-    roster_ = Roster(std::move(ases));
-  }
-
   // A full compile is a generation swap, journaled as aggregates (begin/
   // end plus the flow table's bulk events) under the ambient id — per-
   // entity provenance is the fast path's domain.
@@ -791,9 +688,7 @@ CompileStats SdxRuntime::FullCompile() {
       // kept for the fast-path slices.
       compiled = composer_.Compose(
           participants_, groups_, clause_set_ids_, &tracer_, pool,
-          options_.incremental ? &block_memo_ : nullptr, &outcome,
-          encoded_active_ ? VmacEncoding::kEncoded : VmacEncoding::kLegacy,
-          &roster_);
+          options_.incremental ? &block_memo_ : nullptr, &outcome);
       inbound_blocks_ = std::move(compiled.inbound_blocks);
     }
 
@@ -1000,7 +895,6 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
               group.per_sender_best[sender] = own_hop;
             }
           }
-          group.reach = ComputeReach(group, roster_, route_server_);
         };
         if (pool != nullptr && new_groups.size() > 1) {
           pool->ParallelFor(new_groups.size(), build);
@@ -1031,9 +925,7 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
         obs::TraceSpan span(&tracer_, "slice_compile");
         auto compile = [&](std::size_t g) {
           slices[g] = composer_.ComposeForGroup(
-              participants_, inbound_blocks_, new_groups[g], clause_set_ids_,
-              encoded_active_ ? VmacEncoding::kEncoded
-                              : VmacEncoding::kLegacy);
+              participants_, inbound_blocks_, new_groups[g], clause_set_ids_);
         };
         if (pool != nullptr && slices.size() > 1) {
           pool->ParallelFor(slices.size(), compile);
@@ -1077,19 +969,8 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
         // for all receivers that still have a route; receivers that lost
         // it drop the FIB entry. Routers are independent, so they fan out
         // one-per-worker.
-        if (encoded_active_) {
-          // The masked rules installed at the last full compile already
-          // cover the new groups; the ARP answer (next-hop index + clause
-          // bits per sender) is what actually re-routes traffic.
-          const std::vector<AsNumber> policy_senders = PolicySenders();
-          for (const AnnotatedGroup& group : new_groups) {
-            arp_.BindEncoded(group.binding.vnh,
-                             BuildEncodedArpEntry(group, policy_senders));
-          }
-        } else {
-          for (const AnnotatedGroup& group : new_groups) {
-            arp_.Bind(group.binding.vnh, group.binding.vmac);
-          }
+        for (const AnnotatedGroup& group : new_groups) {
+          arp_.Bind(group.binding.vnh, group.binding.vmac);
         }
         std::vector<std::pair<const AsNumber, BorderRouter>*> targets;
         targets.reserve(routers_.size());

@@ -63,7 +63,6 @@
 #include "sdx/group_table.h"
 #include "sdx/options.h"
 #include "sdx/participant.h"
-#include "sdx/reach.h"
 #include "sdx/vnh.h"
 #include "sdx/vswitch.h"
 #include "util/thread_pool.h"
@@ -181,9 +180,9 @@ class SdxRuntime {
 
   // --- Runtime options (the consolidated knob surface) --------------------
   // Applies the whole RuntimeOptions value atomically: compile options,
-  // batch window, data-plane backend, and VMAC encoding. Returns the
-  // previous options and journals a runtime_options_changed event. Compile
-  // options and the VMAC encoding take effect at the next FullCompile();
+  // batch window and data-plane backend. Returns the previous options and
+  // journals a runtime_options_changed event. Compile options take effect
+  // at the next FullCompile();
   // turning compile.incremental off also drops all dirty-tracking state,
   // so that compile is from scratch.
   RuntimeOptions Configure(const RuntimeOptions& options);
@@ -194,20 +193,8 @@ class SdxRuntime {
     out.compile = options_;
     out.batch_window = batch_window_;
     out.backend = data_plane_.table().backend();
-    out.vmac_encoding = vmac_encoding_;
     return out;
   }
-
-  // The configured encoding mode, and what kAuto currently resolves to
-  // (consults SDX_VMAC_ENCODING; see sdx/reach.h).
-  VmacEncoding vmac_encoding() const { return vmac_encoding_; }
-  VmacEncoding ResolvedVmacEncoding() const;
-  // Whether the LAST FullCompile used the encoded mode (what the installed
-  // rules and ARP answers currently speak).
-  bool encoded_vmacs_active() const { return encoded_active_; }
-  // The participant roster numbering of the last FullCompile (encoded-mode
-  // next-hop index space).
-  const Roster& roster() const { return roster_; }
 
   std::size_t batch_window() const { return batch_window_; }
 
@@ -439,20 +426,6 @@ class SdxRuntime {
   std::vector<std::uint32_t> SetsContaining(const net::IPv4Prefix& prefix)
       const;
 
-  // Encoded-mode ARP answer for one group: default = best hop index with
-  // no bits; per-requester overrides for `policy_senders` (the only senders
-  // whose clause bits can be nonzero) plus the group's per-sender-best
-  // keys, stored sparsely (only when they differ from the default).
-  // Overflow-fallback senders get the legacy VMAC instead.
-  dataplane::ArpResponder::EncodedEntry BuildEncodedArpEntry(
-      const AnnotatedGroup& group,
-      const std::vector<AsNumber>& policy_senders) const;
-
-  // Senders that can need a non-default encoded ARP answer by policy: the
-  // unique sender ASes of clause_set_ids_ (clause bits), including the
-  // overflow-fallback ones (legacy answers).
-  std::vector<AsNumber> PolicySenders() const;
-
   rs::RouteServer route_server_;
   dataplane::SwitchDataPlane data_plane_;
   dataplane::ArpResponder arp_;
@@ -470,12 +443,6 @@ class SdxRuntime {
 
   // --- Incremental-compilation state (DESIGN.md §8) ----------------------
   CompileOptions options_;
-  // Configured encoding mode; resolved (kAuto → env) at each FullCompile
-  // into encoded_active_, which describes the installed rules/ARP answers.
-  VmacEncoding vmac_encoding_ = VmacEncoding::kAuto;
-  bool encoded_active_ = false;
-  // Participant numbering of the last FullCompile (encoded next-hop space).
-  Roster roster_;
   // What ConfigureTelemetry last applied.
   obs::TelemetryOptions telemetry_options_;
   std::unique_ptr<util::ThreadPool> pool_;

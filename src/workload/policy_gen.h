@@ -50,12 +50,10 @@ struct PolicyParams {
   // concentrating on the top transits alone. The group diversity of
   // `coverage_fanout` is unchanged — every top target's export set is still
   // a behavior set — but no single sender collects more clauses than the
-  // cap, which is the shape the encoded-VMAC clause bitmap assumes
-  // (sdx/reach.h: kEncodedClauseBits per sender) and closer to real IXPs,
-  // where many participants each peer with a handful of targets. The cap
-  // counts a sender's whole outbound clause list, including the §6.1
-  // policies assigned above. 0 = no cap (coverage stays on the top
-  // transits).
+  // cap, which is closer to real IXPs, where many participants each peer
+  // with a handful of targets. The cap counts a sender's whole outbound
+  // clause list, including the §6.1 policies assigned above. 0 = no cap
+  // (coverage stays on the top transits).
   int coverage_max_per_sender = 0;
   // Explicit 64-bit seed (workload/seed.h) — deterministic, replayable.
   std::uint64_t seed = 7;

@@ -37,58 +37,10 @@ TEST(ArpResponder, UnbindRemoves) {
   EXPECT_FALSE(arp.Resolve(IPv4Address(172, 16, 0, 1)));
 }
 
-TEST(ArpResponder, EncodedEntryAnswersPerRequester) {
-  ArpResponder arp;
-  ArpResponder::EncodedEntry entry;
-  entry.default_mac = MacAddress(0xD0);
-  entry.per_requester[100] = MacAddress(0xA1);
-  entry.per_requester[200] = MacAddress(0xA2);
-  arp.BindEncoded(IPv4Address(172, 16, 0, 1), entry);
-
-  EXPECT_EQ(*arp.Resolve(IPv4Address(172, 16, 0, 1), 100), MacAddress(0xA1));
-  EXPECT_EQ(*arp.Resolve(IPv4Address(172, 16, 0, 1), 200), MacAddress(0xA2));
-  // Senders without an override — and requester-unaware queries — get the
-  // default answer.
-  EXPECT_EQ(*arp.Resolve(IPv4Address(172, 16, 0, 1), 300), MacAddress(0xD0));
-  EXPECT_EQ(*arp.Resolve(IPv4Address(172, 16, 0, 1)), MacAddress(0xD0));
-  EXPECT_EQ(arp.size(), 1u);
-  EXPECT_EQ(arp.encoded_size(), 1u);
-}
-
 TEST(ArpResponder, RequesterAwareResolveFallsThroughToPlainBindings) {
   ArpResponder arp;
   arp.Bind(IPv4Address(172, 16, 0, 1), MacAddress(0xAA));
   EXPECT_EQ(*arp.Resolve(IPv4Address(172, 16, 0, 1), 100), MacAddress(0xAA));
-}
-
-TEST(ArpResponder, BindDisplacesEncodedAndViceVersa) {
-  ArpResponder arp;
-  ArpResponder::EncodedEntry entry;
-  entry.default_mac = MacAddress(0xD0);
-  entry.per_requester[100] = MacAddress(0xA1);
-
-  // Encoded binding displaced by a plain rebind (mode flip to legacy).
-  arp.BindEncoded(IPv4Address(172, 16, 0, 1), entry);
-  arp.Bind(IPv4Address(172, 16, 0, 1), MacAddress(0xBB));
-  EXPECT_EQ(arp.size(), 1u);
-  EXPECT_EQ(arp.encoded_size(), 0u);
-  EXPECT_EQ(*arp.Resolve(IPv4Address(172, 16, 0, 1), 100), MacAddress(0xBB));
-
-  // And back again (mode flip to encoded).
-  arp.BindEncoded(IPv4Address(172, 16, 0, 1), entry);
-  EXPECT_EQ(arp.size(), 1u);
-  EXPECT_EQ(arp.encoded_size(), 1u);
-  EXPECT_EQ(*arp.Resolve(IPv4Address(172, 16, 0, 1), 100), MacAddress(0xA1));
-}
-
-TEST(ArpResponder, UnbindRemovesEncodedBinding) {
-  ArpResponder arp;
-  ArpResponder::EncodedEntry entry;
-  entry.default_mac = MacAddress(0xD0);
-  arp.BindEncoded(IPv4Address(172, 16, 0, 1), entry);
-  EXPECT_TRUE(arp.Unbind(IPv4Address(172, 16, 0, 1)));
-  EXPECT_FALSE(arp.Unbind(IPv4Address(172, 16, 0, 1)));
-  EXPECT_FALSE(arp.Resolve(IPv4Address(172, 16, 0, 1), 100));
 }
 
 TEST(ArpResponder, CountsQueriesAndHits) {

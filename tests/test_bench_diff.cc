@@ -244,37 +244,6 @@ TEST(BenchDiffTest, FastPathSpeedupGaugeCarriesAHardFloor) {
                    .regression);
 }
 
-TEST(BenchDiffTest, RuleReductionGaugeCarriesAnOptInFloor) {
-  // rules.isdx_reduction (fig7's legacy/encoded flow-rule ratio) is off by
-  // default — the realizable reduction depends on the sweep's scale — and
-  // becomes an absolute after-side floor when the CI bench lane opts in.
-  EXPECT_FALSE(DiffMetrics(Snapshot("", "\"rules.isdx_reduction\": 20.0", ""),
-                           Snapshot("", "\"rules.isdx_reduction\": 2.0", ""))
-                   .regression);
-
-  BenchDiffOptions banded;
-  banded.min_rule_reduction = 10.0;
-  BenchDiff below =
-      DiffMetrics(Snapshot("", "\"rules.isdx_reduction\": 20.0", ""),
-                  Snapshot("", "\"rules.isdx_reduction\": 2.0", ""), banded);
-  EXPECT_TRUE(below.regression);
-  ASSERT_EQ(below.deltas.size(), 1u);
-  EXPECT_TRUE(below.deltas[0].regressed);
-  EXPECT_NE(below.deltas[0].note.find("floor"), std::string::npos);
-
-  // Like the convergence band, the floor applies even when before == after
-  // — the ratio checks would skip an unchanged gauge entirely.
-  BenchDiff equal =
-      DiffMetrics(Snapshot("", "\"rules.isdx_reduction\": 2.0", ""),
-                  Snapshot("", "\"rules.isdx_reduction\": 2.0", ""), banded);
-  EXPECT_TRUE(equal.regression);
-
-  EXPECT_FALSE(
-      DiffMetrics(Snapshot("", "\"rules.isdx_reduction\": 20.0", ""),
-                  Snapshot("", "\"rules.isdx_reduction\": 12.5", ""), banded)
-          .regression);
-}
-
 TEST(BenchDiffTest, ConvergenceP99CarriesAnAbsoluteCeiling) {
   // "convergence."-prefixed histogram p99s get an absolute after-side band
   // (DESIGN.md §12): a tail over the budget is a regression no matter the

@@ -173,74 +173,6 @@ TEST(FieldMatchProperty, IntersectionAgreesWithConjunction) {
 
 // Property: IsSubsetOf is sound — if a ⊆ b then any packet matching a
 // matches b.
-TEST(FieldMatchMasked, MatchesUnderMask) {
-  // Match the top byte (0x0E marker) and bit 3, ignore everything else —
-  // the shape of an encoded-VMAC clause rule (sdx/reach.h).
-  const std::uint64_t mask = (0xFFull << 40) | (1ull << 3);
-  const FieldMatch m =
-      FieldMatch::DstMacMasked(MacAddress((0x0Eull << 40) | (1ull << 3)), mask);
-  PacketHeader h = WebPacket();
-  h.dst_mac = MacAddress((0x0Eull << 40) | (1ull << 3) | 0xBEEF00ull);
-  EXPECT_TRUE(m.Matches(h));
-  h.dst_mac = MacAddress((0x0Eull << 40) | 0xBEEF00ull);  // bit 3 clear
-  EXPECT_FALSE(m.Matches(h));
-  h.dst_mac = MacAddress((0x0Aull << 40) | (1ull << 3));  // wrong marker
-  EXPECT_FALSE(m.Matches(h));
-}
-
-TEST(FieldMatchMasked, FullMaskNormalizesToExactMatch) {
-  const FieldMatch masked =
-      FieldMatch::DstMacMasked(MacAddress(0x42), kFullMacMask);
-  EXPECT_EQ(masked, FieldMatch::DstMac(MacAddress(0x42)));
-  EXPECT_FALSE(masked.dst_mac_is_masked());
-  EXPECT_EQ(masked.dst_mac_mask(), kFullMacMask);
-}
-
-TEST(FieldMatchMasked, IntersectCombinesMasks) {
-  // Disjoint masks: intersection constrains the union of the cared-for
-  // bits.
-  const FieldMatch marker =
-      FieldMatch::DstMacMasked(MacAddress(0x0Eull << 40), 0xFFull << 40);
-  const FieldMatch bit = FieldMatch::DstMacMasked(MacAddress(1ull << 5),
-                                                  1ull << 5);
-  auto both = marker.Intersect(bit);
-  ASSERT_TRUE(both);
-  EXPECT_EQ(both->dst_mac_mask(), (0xFFull << 40) | (1ull << 5));
-  PacketHeader h = WebPacket();
-  h.dst_mac = MacAddress((0x0Eull << 40) | (1ull << 5) | 0x1204ull);
-  EXPECT_TRUE(both->Matches(h));
-  h.dst_mac = MacAddress((0x0Eull << 40) | 0x1204ull);  // bit 5 clear
-  EXPECT_FALSE(both->Matches(h));
-
-  // Conflicting values on a shared cared-for bit: disjoint.
-  const FieldMatch clear = FieldMatch::DstMacMasked(MacAddress(0), 1ull << 5);
-  EXPECT_FALSE(bit.Intersect(clear));
-
-  // Exact match inside the masked region refines it.
-  auto exact = marker.Intersect(
-      FieldMatch::DstMac(MacAddress((0x0Eull << 40) | 7)));
-  ASSERT_TRUE(exact);
-  EXPECT_FALSE(exact->dst_mac_is_masked());
-}
-
-TEST(FieldMatchMasked, SubsetRespectsMasks) {
-  const FieldMatch wide =
-      FieldMatch::DstMacMasked(MacAddress(0x0Eull << 40), 0xFFull << 40);
-  const FieldMatch narrow = FieldMatch::DstMacMasked(
-      MacAddress((0x0Eull << 40) | (1ull << 2)), (0xFFull << 40) | (1ull << 2));
-  EXPECT_TRUE(narrow.IsSubsetOf(wide));
-  EXPECT_FALSE(wide.IsSubsetOf(narrow));
-  EXPECT_TRUE(FieldMatch::DstMac(MacAddress(0x0Eull << 40)).IsSubsetOf(wide));
-  EXPECT_FALSE(FieldMatch::DstMac(MacAddress(0x0Aull << 40)).IsSubsetOf(wide));
-}
-
-TEST(FieldMatchMasked, ClearFieldDropsMask) {
-  FieldMatch m = FieldMatch::DstMacMasked(MacAddress(1ull << 4), 1ull << 4);
-  m.ClearField(Field::kDstMac);
-  EXPECT_TRUE(m.IsWildcard());
-  EXPECT_FALSE(m.dst_mac_is_masked());
-}
-
 TEST(FieldMatchProperty, SubsetSoundness) {
   std::mt19937 rng(7);
   for (int trial = 0; trial < 2000; ++trial) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 namespace sdx::rs {
 namespace {
@@ -149,6 +150,48 @@ TEST_F(RouteServerTest, BestRouteChangeCallbackFires) {
   EXPECT_FALSE(seen[0].old_best);
   ASSERT_TRUE(seen[0].new_best);
   EXPECT_EQ(seen[0].new_best->peer_as, 100u);
+}
+
+TEST_F(RouteServerTest, DecisionEventsCarryOldAndNewNextHop) {
+  obs::Journal journal;
+  server_.SetSinks(obs::Sinks{.journal = &journal});
+  using Decision = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+  // (receiver, new best peer, old best peer) of every rs_decision event
+  // recorded since the last call; 0 = no route.
+  std::uint64_t cursor = 0;
+  auto decisions = [&] {
+    std::vector<Decision> out;
+    for (const obs::JournalEvent& event : journal.TailSince(cursor)) {
+      if (event.type != obs::JournalEventType::kRsDecision) continue;
+      EXPECT_EQ(event.detail, "10.0.0.0/8");
+      out.emplace_back(event.arg0, event.arg1, event.arg2);
+    }
+    cursor = journal.next_seq();
+    return out;
+  };
+
+  // 200 and 300 gain 100's route.
+  server_.HandleUpdate(Announce(100, "10.0.0.0/8", {100, 900}));
+  EXPECT_EQ(decisions(),
+            (std::vector<Decision>{{200, 100, 0}, {300, 100, 0}}));
+
+  // 200's shorter path wins: 100 gains it, 300 moves off 100.
+  server_.HandleUpdate(Announce(200, "10.0.0.0/8", {200}));
+  EXPECT_EQ(decisions(),
+            (std::vector<Decision>{{100, 200, 0}, {300, 200, 100}}));
+
+  // Withdrawing it: 100 loses its only route, 300 falls back to 100.
+  server_.HandleUpdate(Withdraw(200, "10.0.0.0/8"));
+  EXPECT_EQ(decisions(),
+            (std::vector<Decision>{{100, 0, 200}, {300, 100, 200}}));
+
+  // The subscriber saw the same changes, with both routes copied.
+  ASSERT_EQ(changes_.size(), 6u);
+  EXPECT_EQ(changes_[3].receiver, 300u);
+  ASSERT_TRUE(changes_[3].old_best && changes_[3].new_best);
+  EXPECT_EQ(changes_[3].old_best->peer_as, 100u);
+  EXPECT_EQ(changes_[3].new_best->peer_as, 200u);
+  EXPECT_FALSE(changes_[4].new_best);
 }
 
 TEST_F(RouteServerTest, OriginationRequiresOwnership) {

@@ -30,7 +30,6 @@ RuntimeOptions NonDefaultOptions() {
   options.compile.threads = 1;
   options.batch_window = 7;
   options.backend = dataplane::FlowTable::Backend::kLinear;
-  options.vmac_encoding = VmacEncoding::kEncoded;
   return options;
 }
 
@@ -41,14 +40,12 @@ TEST(RuntimeOptions, ConfigureRoundTripsPreviousValue) {
   EXPECT_EQ(defaults.compile.threads, 0);
   EXPECT_EQ(defaults.batch_window, 0u);
   EXPECT_EQ(defaults.backend, dataplane::FlowTable::Backend::kCompiled);
-  EXPECT_EQ(defaults.vmac_encoding, VmacEncoding::kAuto);
 
   const RuntimeOptions custom = NonDefaultOptions();
   EXPECT_EQ(runtime.Configure(custom), defaults);
   EXPECT_EQ(runtime.runtime_options(), custom);
   EXPECT_EQ(runtime.batch_window(), 7u);
   EXPECT_EQ(runtime.compile_options(), custom.compile);
-  EXPECT_EQ(runtime.vmac_encoding(), VmacEncoding::kEncoded);
   // And back: the returned value restores the starting state exactly.
   EXPECT_EQ(runtime.Configure(defaults), custom);
   EXPECT_EQ(runtime.runtime_options(), defaults);
@@ -60,14 +57,12 @@ TEST(RuntimeOptions, ConfigureJournalsChangeEvent) {
   const auto event =
       LastEventOfType(runtime, JournalEventType::kRuntimeOptionsChanged);
   ASSERT_TRUE(event);
-  // arg0 = new packed bits {compile.incremental<<1, encoded<<3,
-  // linear_backend<<4}; bits 0 and 2 are unused and stay 0; arg2 = new
-  // batch window.
-  EXPECT_EQ(event->arg0, (1ull << 3) | (1ull << 4));
+  // arg0 = new packed bits {compile.incremental<<1, linear_backend<<4};
+  // bits 0, 2 and 3 are unused and stay 0; arg2 = new batch window.
+  EXPECT_EQ(event->arg0, 1ull << 4);
   EXPECT_EQ(event->arg2, 7u);
-  // Old bits: incremental set, bits 0 and 2 clear (the encoded bit depends
-  // on what kAuto resolves to in this environment).
-  EXPECT_EQ(event->arg1 & 0b111u, 0b010u);
+  // Old bits: incremental set, compiled backend.
+  EXPECT_EQ(event->arg1, 0b010u);
 }
 
 TEST(RuntimeOptions, TurningIncrementalOffForcesFromScratchCompile) {
@@ -95,33 +90,6 @@ TEST(RuntimeOptions, TurningIncrementalOffForcesFromScratchCompile) {
   runtime.Configure(options);
   EXPECT_TRUE(runtime.FullCompile().incremental);
   EXPECT_GT(runtime.FullCompile().blocks_reused, 0u);
-}
-
-TEST(RuntimeOptions, EncodingTakesEffectAtNextFullCompile) {
-  SdxRuntime runtime;
-  runtime.AddParticipant(100, 1);
-  runtime.AddParticipant(200, 1);
-  runtime.AnnouncePrefix(200, net::IPv4Prefix(net::IPv4Address(10, 1, 0, 0),
-                                              16));
-  OutboundClause clause;
-  clause.match = policy::Predicate::DstPort(80);
-  clause.to = 200;
-  runtime.SetOutboundPolicy(100, {clause});
-
-  RuntimeOptions options = runtime.runtime_options();
-  options.vmac_encoding = VmacEncoding::kEncoded;
-  runtime.Configure(options);
-  EXPECT_FALSE(runtime.encoded_vmacs_active());  // not compiled yet
-  runtime.FullCompile();
-  EXPECT_TRUE(runtime.encoded_vmacs_active());
-  EXPECT_EQ(runtime.roster().size(), 2u);
-  EXPECT_GT(runtime.arp().encoded_size(), 0u);
-
-  options.vmac_encoding = VmacEncoding::kLegacy;
-  runtime.Configure(options);
-  runtime.FullCompile();
-  EXPECT_FALSE(runtime.encoded_vmacs_active());
-  EXPECT_EQ(runtime.arp().encoded_size(), 0u);
 }
 
 TEST(TelemetryOptions, ConfigureRoundTripsPreviousValue) {

@@ -45,10 +45,6 @@
 //      the convergence.overhead_ratio gauge budget)
 //   --min-fastpath-speedup=R
 //     (absolute gauge floor on the compiled-classifier speedup)
-//   --min-rule-reduction=R
-//     (absolute gauge floor on rules.isdx_reduction — the legacy/encoded
-//      flow-rule ratio measured by fig7's iSDX column; off by default,
-//      the CI bench lane pins it)
 //
 // Exit codes: 0 ok, 1 regression detected (diff/health only), 2
 // usage/IO/parse.
@@ -90,7 +86,6 @@ int Usage() {
       "        [--max-p50-ratio=R] [--max-p95-ratio=R] [--max-p99-ratio=R]\n"
       "        [--noise-floor-us=U] [--max-telemetry-overhead=R]\n"
       "        [--min-fastpath-speedup=R]\n"
-      "        [--min-rule-reduction=R]\n"
       "        [--max-convergence-p99=S]\n"
       "        [--max-convergence-overhead=R]\n"
       "  health <health.json|timeseries.json> render a health snapshot (exit\n"
@@ -277,8 +272,6 @@ int CmdDiff(const std::vector<std::string>& args) {
       options.max_telemetry_overhead = std::stod(value);
     } else if (FlagValue(args[i], "--min-fastpath-speedup", &value)) {
       options.min_fastpath_speedup = std::stod(value);
-    } else if (FlagValue(args[i], "--min-rule-reduction", &value)) {
-      options.min_rule_reduction = std::stod(value);
     } else if (FlagValue(args[i], "--max-convergence-p99", &value)) {
       options.max_convergence_p99_seconds = std::stod(value);
     } else if (FlagValue(args[i], "--max-convergence-overhead", &value)) {
