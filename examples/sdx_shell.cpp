@@ -103,9 +103,11 @@ void CmdTable(core::SdxRuntime& sdx, const std::string& line) {
   stream >> command >> limit;
   const auto& rules = sdx.data_plane().table().rules();
   std::printf("%zu rules installed\n", rules.size());
-  for (std::size_t i = 0; i < rules.size() && i < limit; ++i) {
-    std::printf("  %s  (hits %llu)\n", rules[i].ToString().c_str(),
-                static_cast<unsigned long long>(rules[i].packet_count));
+  // Storage is ascending precedence; print the highest-precedence first.
+  for (auto it = rules.rbegin(); it != rules.rend() && limit > 0;
+       ++it, --limit) {
+    std::printf("  %s  (hits %llu)\n", it->ToString().c_str(),
+                static_cast<unsigned long long>(it->packet_count));
   }
 }
 

@@ -28,17 +28,17 @@ void CompiledClassifier::Add(const std::vector<FlowRule>& rules,
   const auto idx = static_cast<std::uint32_t>(index);
   const net::MaskedKey key = net::ProjectKey(rules[index].match, sig);
   auto [it, inserted] = tuple->best.try_emplace(key, idx);
-  if (!inserted) it->second = std::min(it->second, idx);
-  tuple->min_index = std::min(tuple->min_index, idx);
+  if (!inserted) it->second = std::max(it->second, idx);
+  tuple->max_index = std::max(tuple->max_index, idx);
 }
 
 void CompiledClassifier::InsertRule(const std::vector<FlowRule>& rules,
                                     std::size_t index) {
   const auto at = static_cast<std::uint32_t>(index);
   for (Tuple& tuple : tuples_) {
-    if (tuple.min_index >= at && tuple.min_index != kNotFound) {
-      ++tuple.min_index;
-    }
+    // Sorted by max_index descending: the rest hold only lower indices.
+    if (tuple.max_index < at) break;
+    ++tuple.max_index;
     for (auto& [key, idx] : tuple.best) {
       if (idx >= at) ++idx;
     }
@@ -50,15 +50,15 @@ void CompiledClassifier::InsertRule(const std::vector<FlowRule>& rules,
 
 std::uint32_t CompiledClassifier::LookupIndex(
     const net::PacketHeader& header) const {
-  std::uint32_t best = kNotFound;
+  std::int64_t best = -1;
   for (const Tuple& tuple : tuples_) {
     // Tuples are sorted by their own best index: once even a tuple's best
     // rule cannot beat the candidate, no later tuple can either.
-    if (tuple.min_index >= best) break;
+    if (tuple.max_index <= best) break;
     const auto it = tuple.best.find(net::ProjectKey(header, tuple.sig));
-    if (it != tuple.best.end() && it->second < best) best = it->second;
+    if (it != tuple.best.end() && it->second > best) best = it->second;
   }
-  return best;
+  return best < 0 ? kNotFound : static_cast<std::uint32_t>(best);
 }
 
 void CompiledClassifier::Clear() {
@@ -69,7 +69,7 @@ void CompiledClassifier::Clear() {
 void CompiledClassifier::SortTuples() {
   std::sort(tuples_.begin(), tuples_.end(),
             [](const Tuple& a, const Tuple& b) {
-              return a.min_index < b.min_index;
+              return a.max_index > b.max_index;
             });
 }
 

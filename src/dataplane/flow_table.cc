@@ -32,12 +32,12 @@ void FlowTable::Install(FlowRule rule) {
                      static_cast<std::uint64_t>(rule.priority), rule.cookie,
                      rule.ToString());
   }
-  // Insert after the last rule with priority >= rule.priority so that the
-  // ordering is stable for equal priorities.
-  auto pos = std::upper_bound(
+  // Storage is ascending precedence: insert below every rule of equal
+  // priority, so the earliest-installed one keeps the larger index and wins.
+  auto pos = std::lower_bound(
       rules_.begin(), rules_.end(), rule.priority,
-      [](std::int32_t priority, const FlowRule& r) {
-        return priority > r.priority;
+      [](const FlowRule& r, std::int32_t priority) {
+        return r.priority < priority;
       });
   const auto index = static_cast<std::size_t>(pos - rules_.begin());
   rules_.insert(pos, std::move(rule));
@@ -51,10 +51,13 @@ void FlowTable::InstallAll(std::vector<FlowRule> rules) {
                      journal_->current_update_id(), switch_id_,
                      rules.size(), rules.front().cookie);
   }
-  std::stable_sort(rules.begin(), rules.end(),
-                   [](const FlowRule& a, const FlowRule& b) {
-                     return a.priority > b.priority;
-                   });
+  // Ascending precedence: reversing first puts earlier input above later
+  // input of equal priority; merging the batch first puts it below rules_.
+  const auto ascending = [](const FlowRule& a, const FlowRule& b) {
+    return a.priority < b.priority;
+  };
+  std::reverse(rules.begin(), rules.end());
+  std::stable_sort(rules.begin(), rules.end(), ascending);
   if (rules_.empty()) {
     rules_ = std::move(rules);
     NoteMutation(kBulkChange);
@@ -62,12 +65,8 @@ void FlowTable::InstallAll(std::vector<FlowRule> rules) {
   }
   std::vector<FlowRule> merged;
   merged.reserve(rules_.size() + rules.size());
-  // Existing rules win ties: they were installed earlier.
-  std::merge(rules_.begin(), rules_.end(), rules.begin(), rules.end(),
-             std::back_inserter(merged),
-             [](const FlowRule& a, const FlowRule& b) {
-               return a.priority > b.priority;
-             });
+  std::merge(rules.begin(), rules.end(), rules_.begin(), rules_.end(),
+             std::back_inserter(merged), ascending);
   rules_ = std::move(merged);
   NoteMutation(kBulkChange);
 }
@@ -124,8 +123,9 @@ void FlowTable::Compile() const {
     // (each later insert at or below it shifted it up by one; O(k²) with
     // k ≤ kMaxPendingInserts), then replay in ascending current-position
     // order, which reconstructs the current vector exactly: an earlier
-    // (lower) insert is never displaced by a later (higher) one, and an
-    // existing entry is shifted once per new rule at or below it.
+    // (lower) insert is never displaced by a later (higher) one, and a
+    // stored entry shifts once per new rule at or below it (a fast-path
+    // band sits above every stored rule, so it shifts none).
     std::vector<std::size_t> positions(pending_inserts_.begin(),
                                        pending_inserts_.end());
     for (std::size_t j = 1; j < positions.size(); ++j) {
@@ -146,8 +146,8 @@ void FlowTable::Compile() const {
 }
 
 const FlowRule* FlowTable::LinearLookup(const net::PacketHeader& header) const {
-  for (const FlowRule& rule : rules_) {
-    if (rule.match.Matches(header)) return &rule;
+  for (auto it = rules_.rbegin(); it != rules_.rend(); ++it) {
+    if (it->match.Matches(header)) return &*it;
   }
   return nullptr;
 }

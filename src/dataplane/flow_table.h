@@ -1,8 +1,11 @@
 // Priority-ordered flow table with OpenFlow lookup semantics.
 //
-// Rules are kept sorted by descending priority; among equal priorities the
-// earliest-installed rule wins (stable order), matching how the compiler
-// emits ordered classifiers. Lookup returns the first matching rule.
+// Rules are stored in ascending precedence order: ascending priority, and
+// among equal priorities the earliest-installed rule sits highest, so it
+// wins (matching how the compiler emits ordered classifiers). Lookup
+// returns the matching rule with the largest index. The §4.3.2 fast path
+// installs above every existing rule, so each of its installs is an
+// append plus a shift within its own band, not a move of the whole table.
 //
 // Two lookup backends implement that contract (DESIGN.md §11):
 //
@@ -58,10 +61,13 @@ class FlowTable {
   }
   obs::Journal* journal() const { return journal_; }
 
-  // Installs a rule, preserving priority order (stable for ties).
+  // Installs a rule below every existing rule of equal priority (the
+  // earlier install keeps winning ties).
   void Install(FlowRule rule);
 
-  // Installs a batch; more efficient than repeated Install.
+  // Installs a batch; more efficient than repeated Install. Among equal
+  // priorities, existing rules win over the batch, and earlier batch
+  // entries win over later ones.
   void InstallAll(std::vector<FlowRule> rules);
 
   // Removes every rule carrying `cookie`; returns the number removed.
@@ -83,6 +89,7 @@ class FlowTable {
   // updates as Process().
   const FlowRule* ProcessMatched(const net::Packet& packet) const;
 
+  // Storage order: ascending precedence, so the winning rule is last.
   const std::vector<FlowRule>& rules() const { return rules_; }
   std::size_t size() const { return rules_.size(); }
   bool empty() const { return rules_.empty(); }
@@ -130,7 +137,7 @@ class FlowTable {
   // Linear reference scan (also the fallback while a compile is stale).
   const FlowRule* LinearLookup(const net::PacketHeader& header) const;
 
-  std::vector<FlowRule> rules_;  // descending priority, stable
+  std::vector<FlowRule> rules_;  // ascending precedence
   obs::Journal* journal_ = nullptr;
   std::uint32_t switch_id_ = 0;
   // `mutable` because Process() is logically const (it does not change

@@ -84,27 +84,29 @@ void ConvergenceTracker::AttachJournal(const Journal* journal) {
 
 void ConvergenceTracker::SyncFromJournalLocked() {
   if (journal_ == nullptr) return;
-  for (const JournalEvent& e : journal_->TailSince(cursor_)) {
+  // In place: the tail holds every flow-mod event of the batch, each with
+  // its rendered rule, and copying them cost more than the accounting.
+  journal_->ForEachSince(cursor_, [this](const JournalEvent& e) {
     switch (e.type) {
       case JournalEventType::kBgpSessionRx:
       case JournalEventType::kUpdateEnqueued:
       case JournalEventType::kBgpUpdateBegin:
         break;
       default:
-        continue;
+        return;
     }
-    if (e.update_id == kNoUpdateId) continue;
+    if (e.update_id == kNoUpdateId) return;
     if (pending_.size() >= max_pending_ &&
         pending_.find(e.update_id) == pending_.end()) {
       pending_overflow_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+      return;
     }
     // First stamp wins: the earliest event in the chain is the true
     // ingest time (kBgpUpdateBegin is only the fallback for updates that
     // bypassed both the session and the queue).
     pending_.try_emplace(e.update_id,
                          Ingest{e.seconds, static_cast<std::uint32_t>(e.arg0)});
-  }
+  });
   cursor_ = journal_->next_seq();
 }
 
@@ -121,9 +123,8 @@ void ConvergenceTracker::AccountLocked(UpdateId id, std::uint32_t fallback_as,
   const Ingest ingest = it->second;
   pending_.erase(it);
   const double e2e = std::max(0.0, end_seconds - ingest.seconds);
-  const double wait = std::max(0.0, start_seconds - ingest.seconds);
-  e2e_.Observe(e2e);
-  queue_wait_.Observe(wait);
+  batch_e2e_.push_back(e2e);
+  batch_wait_.push_back(std::max(0.0, start_seconds - ingest.seconds));
   if (coalesced) {
     coalesced_attributed_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -142,17 +143,24 @@ void ConvergenceTracker::RecordBatch(const ConvergenceBatch& batch) {
   SyncFromJournalLocked();
   decision_wall_seconds_ += batch.decision_seconds;
   const double start = batch.end_seconds - batch.batch_seconds;
+  // Batch-local segments apply to every update the batch carried, whether
+  // or not its ingest stamp survived.
+  if (!batch.applied.empty()) {
+    const std::uint64_t applied = batch.applied.size();
+    decision_.Observe(batch.decision_seconds, applied);
+    compile_.Observe(batch.compile_seconds, applied);
+    flush_.Observe(batch.flush_seconds, applied);
+  }
   for (const auto& [id, as] : batch.applied) {
-    // Batch-local segments apply to every update the batch carried,
-    // whether or not its ingest stamp survived.
-    decision_.Observe(batch.decision_seconds);
-    compile_.Observe(batch.compile_seconds);
-    flush_.Observe(batch.flush_seconds);
     AccountLocked(id, as, start, batch.end_seconds, /*coalesced=*/false);
   }
   for (UpdateId id : batch.coalesced) {
     AccountLocked(id, 0, start, batch.end_seconds, /*coalesced=*/true);
   }
+  e2e_.ObserveAll(batch_e2e_);
+  queue_wait_.ObserveAll(batch_wait_);
+  batch_e2e_.clear();
+  batch_wait_.clear();
 }
 
 ConvergenceStats::SegmentView ConvergenceTracker::ViewOf(

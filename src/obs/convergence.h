@@ -14,13 +14,14 @@
 //        |------------------------- e2e -------------------------|
 //
 // The runtime reports one ConvergenceBatch per drained batch; the tracker
-// lazily syncs ingest stamps from the journal (TailSince cursor), matches
-// the batch's applied + coalesced provenance ids against them, and
-// aggregates into sharded histograms (p50/p95/p99/max) per segment plus a
-// per-AS worst-offender table. Coalesced (superseded) updates converge
-// when their *absorbing* batch flushes — the update's effect reached the
-// dataplane then, via the update that won — so losers are attributed to
-// that batch using their own ingest stamps.
+// lazily syncs ingest stamps from the journal (a ForEachSince cursor that
+// reads the ring in place), matches the batch's applied + coalesced
+// provenance ids against them, and aggregates into sharded histograms
+// (p50/p95/p99/max) per segment plus a per-AS worst-offender table.
+// Coalesced (superseded) updates converge when their *absorbing* batch
+// flushes — the update's effect reached the dataplane then, via the
+// update that won — so losers are attributed to that batch using their
+// own ingest stamps.
 //
 // Graceful degradation: the journal is a ring. If an ingest stamp was
 // overwritten before the tracker synced it (tiny ring, giant batch), the
@@ -171,6 +172,9 @@ class ConvergenceTracker {
   std::unordered_map<UpdateId, Ingest> pending_;
   const std::size_t max_pending_;
   std::map<std::uint32_t, AsTally> by_as_;
+  // One batch's e2e / queue-wait samples, observed together at its end.
+  std::vector<double> batch_e2e_;
+  std::vector<double> batch_wait_;
   // Batch decision-segment totals (mu_-guarded: written by RecordBatch on
   // the control thread, read by Snapshot from any thread).
   double decision_wall_seconds_ = 0.0;

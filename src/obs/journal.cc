@@ -87,13 +87,7 @@ std::size_t Journal::size() const {
 
 std::vector<JournalEvent> Journal::TailSince(std::uint64_t since_seq) const {
   std::vector<JournalEvent> out;
-  const std::uint64_t first = since_seq < oldest_seq() ? oldest_seq()
-                                                       : since_seq;
-  if (first >= total_) return out;
-  out.reserve(static_cast<std::size_t>(total_ - first));
-  for (std::uint64_t seq = first; seq < total_; ++seq) {
-    out.push_back(ring_[seq % ring_.size()]);
-  }
+  ForEachSince(since_seq, [&out](const JournalEvent& e) { out.push_back(e); });
   return out;
 }
 

@@ -29,6 +29,7 @@
 // no conditionals and the disabled path costs one pointer test.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -142,6 +143,15 @@ class Journal {
   // a gap between `since_seq` and the first returned seq means the ring
   // overwrote events in between.
   std::vector<JournalEvent> TailSince(std::uint64_t since_seq) const;
+  // TailSince without the copies: calls fn(event) on each retained event
+  // with seq >= `since_seq` in place, oldest first.
+  template <typename Fn>
+  void ForEachSince(std::uint64_t since_seq, Fn&& fn) const {
+    for (std::uint64_t seq = std::max(since_seq, oldest_seq()); seq < total_;
+         ++seq) {
+      fn(ring_[seq % ring_.size()]);
+    }
+  }
 
   // Drops all retained events; seq numbering and update ids continue.
   void Clear();

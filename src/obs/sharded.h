@@ -20,6 +20,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "obs/drop_reason.h"
@@ -137,21 +138,39 @@ class ShardedHistogram {
   ShardedHistogram(const ShardedHistogram&) = delete;
   ShardedHistogram& operator=(const ShardedHistogram&) = delete;
 
-  void Observe(double value) {
+  // Records `value` `times` times over (one pass, same result as a loop).
+  void Observe(double value, std::uint64_t times = 1) {
     Cell& cell = cells_[internal::CurrentShard()];
-    std::size_t bucket = upper_bounds_.size();
-    for (std::size_t i = 0; i < upper_bounds_.size(); ++i) {
-      if (value <= upper_bounds_[i]) {
-        bucket = i;
-        break;
-      }
-    }
-    cell.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-    cell.count.fetch_add(1, std::memory_order_relaxed);
-    cell.sum_nano.fetch_add(static_cast<std::int64_t>(value * 1e9),
+    cell.buckets[BucketOf(value)].fetch_add(times, std::memory_order_relaxed);
+    cell.count.fetch_add(times, std::memory_order_relaxed);
+    cell.sum_nano.fetch_add(static_cast<std::int64_t>(value * 1e9) *
+                                static_cast<std::int64_t>(times),
                             std::memory_order_relaxed);
     UpdateMin(cell, value);
     UpdateMax(cell, value);
+  }
+
+  // Observe() for each of `values`, tallied locally first: one atomic add
+  // per touched bucket instead of three per value.
+  void ObserveAll(std::span<const double> values) {
+    if (values.empty()) return;
+    std::array<std::uint64_t, kMaxBuckets> counts{};
+    std::int64_t sum_nano = 0;
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    for (const double value : values) {
+      ++counts[BucketOf(value)];
+      sum_nano += static_cast<std::int64_t>(value * 1e9);
+    }
+    Cell& cell = cells_[internal::CurrentShard()];
+    for (std::size_t b = 0; b <= upper_bounds_.size(); ++b) {
+      if (counts[b] != 0) {
+        cell.buckets[b].fetch_add(counts[b], std::memory_order_relaxed);
+      }
+    }
+    cell.count.fetch_add(values.size(), std::memory_order_relaxed);
+    cell.sum_nano.fetch_add(sum_nano, std::memory_order_relaxed);
+    UpdateMin(cell, *lo);
+    UpdateMax(cell, *hi);
   }
 
   std::uint64_t count() const {
@@ -245,6 +264,15 @@ class ShardedHistogram {
     // itself is large enough that cross-cell false sharing is marginal.
     char pad[64];
   };
+
+  // Index of the first bucket whose upper bound holds `value` (the
+  // overflow bucket past the last bound).
+  std::size_t BucketOf(double value) const {
+    for (std::size_t i = 0; i < upper_bounds_.size(); ++i) {
+      if (value <= upper_bounds_[i]) return i;
+    }
+    return upper_bounds_.size();
+  }
 
   static void UpdateMin(Cell& cell, double value) {
     std::uint64_t cur = cell.min_bits.load(std::memory_order_relaxed);

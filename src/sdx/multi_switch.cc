@@ -1,5 +1,6 @@
 #include "sdx/multi_switch.h"
 
+#include <ranges>
 #include <stdexcept>
 
 namespace sdx::core {
@@ -111,8 +112,10 @@ void MultiSwitchDeployment::Install(
       batch.push_back(std::move(guard));
     }
 
-    // Policy band: the SDX rules relevant to this edge's ingress ports.
-    for (const dataplane::FlowRule& rule : rules) {
+    // Policy band: the SDX rules relevant to this edge's ingress ports,
+    // highest precedence first, since InstallAll breaks priority ties by
+    // input order and `rules` is in ascending precedence.
+    for (const dataplane::FlowRule& rule : rules | std::views::reverse) {
       if (rule.match.in_port().has_value()) {
         auto hosted = edge_of_port_.find(*rule.match.in_port());
         if (hosted == edge_of_port_.end() || hosted->second != edge) {

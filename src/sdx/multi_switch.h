@@ -36,7 +36,8 @@ class MultiSwitchDeployment {
   MultiSwitchDeployment(const VirtualTopology& topo, int edge_switches);
 
   // Installs a compiled single-switch rule set across the fabric,
-  // replacing any previous deployment.
+  // replacing any previous deployment. `rules` is in FlowTable storage
+  // order (ascending precedence, as FlowTable::rules() returns it).
   void Install(const std::vector<dataplane::FlowRule>& rules);
 
   // Wires every switch's flow table to the observability backends: the

@@ -82,25 +82,26 @@ TEST(MaskSignature, ProjectionEquivalentToMatches) {
 // --- CompiledClassifier ----------------------------------------------
 
 TEST(CompiledClassifier, GroupsRulesIntoTuples) {
+  // Ascending precedence order, as FlowTable stores it.
   std::vector<FlowRule> rules;
-  for (int i = 0; i < 16; ++i) {
-    rules.push_back(MakeRule(100, FieldMatch::DstPort(1000 + i), 1));
-  }
+  rules.push_back(MakeRule(0, FieldMatch(), 3));  // catch-all
   for (int i = 0; i < 16; ++i) {
     rules.push_back(MakeRule(50, FieldMatch::InPort(i), 2));
   }
-  rules.push_back(MakeRule(0, FieldMatch(), 3));  // catch-all
+  for (int i = 0; i < 16; ++i) {
+    rules.push_back(MakeRule(100, FieldMatch::DstPort(1000 + i), 1));
+  }
   CompiledClassifier classifier;
   classifier.Build(rules);
   EXPECT_EQ(classifier.tuple_count(), 3u);
   EXPECT_EQ(classifier.rule_count(), rules.size());
 
   PacketHeader h = PortPacket(1005);
-  EXPECT_EQ(classifier.LookupIndex(h), 5u);
+  EXPECT_EQ(classifier.LookupIndex(h), 22u);
   h.dst_port = 9;  // falls through dst-port tuple, hits in-port tuple
-  EXPECT_EQ(classifier.LookupIndex(h), 17u);
+  EXPECT_EQ(classifier.LookupIndex(h), 2u);
   h.in_port = 99;  // falls through to the wildcard
-  EXPECT_EQ(classifier.LookupIndex(h), 32u);
+  EXPECT_EQ(classifier.LookupIndex(h), 0u);
 }
 
 TEST(CompiledClassifier, MissWithoutCatchAll) {
@@ -321,6 +322,66 @@ TEST(CompiledBackendFuzz, EquivalentToLinearAcrossMutations) {
       compiled.Install(rule);
     }
     check(400);
+  }
+}
+
+// The §4.3.2 fast-path shape: a large generation installed in bulk, then
+// bands installed one rule at a time in descending priority above it and
+// retired by cookie. An 8-rule band takes the incremental replay; a
+// 100-rule band overflows the pending-insert log and forces a rebuild.
+// Lookups land mid-band too, so a band's tail is replayed onto a compile
+// that already holds its head.
+TEST(CompiledBackendFuzz, FastPathBandsAboveAGeneration) {
+  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+    std::mt19937 rng(seed);
+    FlowTable linear;
+    linear.SetBackend(FlowTable::Backend::kLinear);
+    FlowTable compiled;
+    compiled.SetBackend(FlowTable::Backend::kCompiled);
+
+    const auto check = [&](const char* phase) {
+      for (int i = 0; i < 300; ++i) {
+        const PacketHeader h = FuzzHeader(rng);
+        ASSERT_EQ(IndexOf(linear, linear.Lookup(h)),
+                  IndexOf(compiled, compiled.Lookup(h)))
+            << "seed=" << seed << " " << phase << " header=" << h.ToString();
+      }
+    };
+
+    std::vector<FlowRule> generation;
+    for (int i = 0; i < 1500; ++i) {
+      generation.push_back(MakeRule(static_cast<std::int32_t>(rng() % 1000),
+                                    FuzzMatch(rng),
+                                    static_cast<net::PortId>(rng() % 8),
+                                    /*cookie=*/1));
+    }
+    linear.InstallAll(generation);
+    compiled.InstallAll(generation);
+    check("generation");
+
+    std::int32_t top = 1000;
+    Cookie cookie = 100;
+    for (const int band : {8, 100, 8}) {
+      ++cookie;
+      top += 2 * band;
+      std::int32_t priority = top;
+      for (int i = 0; i < band; ++i) {
+        priority -= static_cast<std::int32_t>(rng() % 2);  // ties too
+        const FlowRule rule =
+            MakeRule(priority, FuzzMatch(rng),
+                     static_cast<net::PortId>(rng() % 8), cookie);
+        linear.Install(rule);
+        compiled.Install(rule);
+        if (i == band / 2) check("mid-band");
+      }
+      check("after band");
+    }
+    for (; cookie > 100; --cookie) {
+      ASSERT_EQ(linear.RemoveByCookie(cookie),
+                compiled.RemoveByCookie(cookie));
+      check("after retire");
+    }
+    ASSERT_EQ(compiled.size(), generation.size());
   }
 }
 

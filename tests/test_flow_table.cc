@@ -56,9 +56,10 @@ TEST(FlowTable, InstallAllSortsByPriority) {
   rules.push_back(MakeRule(25, FieldMatch::DstPort(443), 3));
   table.InstallAll(std::move(rules));
   ASSERT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.rules()[0].priority, 50);
+  // Storage is ascending precedence: the winning rule is last.
+  EXPECT_EQ(table.rules()[0].priority, 5);
   EXPECT_EQ(table.rules()[1].priority, 25);
-  EXPECT_EQ(table.rules()[2].priority, 5);
+  EXPECT_EQ(table.rules()[2].priority, 50);
 }
 
 TEST(FlowTable, InstallAllMergesWithExisting) {
@@ -69,9 +70,9 @@ TEST(FlowTable, InstallAllMergesWithExisting) {
   batch.push_back(MakeRule(10, FieldMatch(), 1));
   table.InstallAll(std::move(batch));
   ASSERT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.rules()[0].priority, 40);
+  EXPECT_EQ(table.rules()[0].priority, 10);
   EXPECT_EQ(table.rules()[1].priority, 30);
-  EXPECT_EQ(table.rules()[2].priority, 10);
+  EXPECT_EQ(table.rules()[2].priority, 40);
 }
 
 TEST(FlowTable, RemoveByCookie) {

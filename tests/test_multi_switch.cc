@@ -230,6 +230,44 @@ TEST(MultiSwitchFabric, InvalidConfigurationThrows) {
   EXPECT_THROW(fabric.AssignEdgePort(10, 9), std::invalid_argument);
 }
 
+// FlowTable::rules() is in ascending precedence order, and InstallAll
+// breaks priority ties by input order: every edge must keep the
+// single-switch winner of an equal-priority overlap, not the loser.
+TEST(MultiSwitchDeployment, EqualPriorityTieKeepsSingleSwitchWinner) {
+  VirtualTopology topo;
+  topo.AddParticipant(100, 1);
+  topo.AddParticipant(200, 1);
+  topo.AddParticipant(300, 1);
+  const PhysicalPort& a = topo.PhysicalPortOf(100, 0);
+  const PhysicalPort& b = topo.PhysicalPortOf(200, 0);
+  const PhysicalPort& c = topo.PhysicalPortOf(300, 0);
+  const auto to = [](const PhysicalPort& port) {
+    dataplane::FlowRule rule;
+    rule.priority = 10;
+    rule.match = net::FieldMatch::DstPort(80);
+    rule.actions = {dataplane::Action{
+        dataplane::Rewrites().SetDstMac(port.mac), port.id}};
+    return rule;
+  };
+  for (const PhysicalPort* first : {&b, &c}) {
+    const PhysicalPort* second = first == &b ? &c : &b;
+    dataplane::FlowTable single;
+    single.Install(to(*first));   // installed first: wins the tie
+    single.Install(to(*second));
+    net::Packet packet;
+    packet.header.in_port = a.id;
+    packet.header.dst_port = 80;
+    ASSERT_EQ(single.Lookup(packet.header)->actions[0].out_port, first->id);
+    for (int edges = 1; edges <= 3; ++edges) {
+      MultiSwitchDeployment deployment(topo, edges);
+      deployment.Install(single.rules());
+      const auto out = deployment.Process(packet);
+      ASSERT_EQ(out.size(), 1u) << "edges=" << edges;
+      EXPECT_EQ(out[0].out_port, first->id) << "edges=" << edges;
+    }
+  }
+}
+
 // Differential test: the star deployment forwards exactly like the
 // single-switch SDX on the Figure 1 scenario plus a service chain.
 class DeploymentDifferential : public ::testing::TestWithParam<int> {

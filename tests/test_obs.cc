@@ -563,6 +563,23 @@ TEST(ShardedHistogram, BucketsLikeThePlainHistogram) {
   EXPECT_EQ(sharded.max(), 0.0);
 }
 
+// The batched entry points record exactly what one Observe per value does.
+TEST(ShardedHistogram, BatchedObservationsMatchOneByOne) {
+  const std::vector<double> values = {0.5, 1.0, 5.0, 5.0, 100.0, 1e6, 0.25};
+  ShardedHistogram one_by_one({1.0, 10.0, 100.0});
+  ShardedHistogram batched({1.0, 10.0, 100.0});
+  for (double v : values) one_by_one.Observe(v);
+  for (int i = 0; i < 3; ++i) one_by_one.Observe(7.5);
+  batched.ObserveAll(values);
+  batched.Observe(7.5, 3);
+  batched.ObserveAll({});
+  EXPECT_EQ(batched.count(), one_by_one.count());
+  EXPECT_EQ(batched.bucket_counts(), one_by_one.bucket_counts());
+  EXPECT_EQ(batched.sum(), one_by_one.sum());
+  EXPECT_EQ(batched.min(), one_by_one.min());
+  EXPECT_EQ(batched.max(), one_by_one.max());
+}
+
 TEST(ShardedHistogram, PercentilesComeFromTheSharedHelper) {
   ShardedHistogram h({10.0, 20.0, 30.0});
   for (int i = 1; i <= 10; ++i) h.Observe(10.0 + i);
