@@ -331,25 +331,202 @@ void BM_SwitchProcessBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchProcessBatch);
 
-// The ISSUE's telemetry budget: sampled flow export may cost at most 5%
-// on the packet path. Measured as interleaved off/on pass pairs over a
-// fixed seeded packet stream (recorder detached vs attached at the
-// production sampling rate), taking the best pass per mode — machine
-// noise only ever adds time, so the minima are the honest floor for
-// both sides. The first few pairs are discarded: each pass samples a
-// mostly-fresh flow-key set, so the flow cache only reaches capacity
-// (and the measured passes only pay steady-state eviction costs) after
-// ~3 passes — an O(n)-eviction regression once hid behind exactly those
-// warm-up passes. The ratio lands in the metrics snapshot as gauge
-// `telemetry.overhead_ratio`, where the `sdxmon diff` band
-// (BenchDiffOptions::max_telemetry_overhead) flags it across PRs. The
-// gate also fails THIS run (nonzero exit) when the budget is blown.
+// --- SDX-shaped fixture (DESIGN.md §11) --------------------------------
+//
+// Mirrors the tuple census of perfbench's first compile (300 participants
+// × 4,000 prefixes: 6,188 rules, 733 VMACs, 17 mask signatures): every
+// rule but the catch-all pins a dst MAC (§4.2 VMACs), and every rule has
+// its own priority. Each VMAC has one delivery rule (dst MAC alone); above
+// those, the policy rules spread over a few hundred VMACs in the census'
+// shape mix of in_port / src_port / dst_port / src_ip-/1 on top of the
+// VMAC. Packets carry a VMAC, as the border routers' ARP tag makes them,
+// and a few carry a MAC no rule pins. The fast-path fixture above
+// wildcards dst MAC in three of its four bands, so only this fixture
+// reaches the classifier's dst-MAC dispatch stage.
+constexpr int kSdxVmacs = 700;
+constexpr int kSdxPolicyVmacs = 200;
+constexpr int kSdxPorts = 16;
+constexpr std::uint64_t kSdxVmacBase = 0x0A0000000000ull;
+constexpr std::uint16_t kSdxServicePorts[] = {80, 443, 8080, 1935};
+
+void LoadSdxShapeSwitch(dataplane::SwitchDataPlane& sw,
+                        dataplane::FlowTable::Backend backend) {
+  sw.table().SetBackend(backend);
+  std::mt19937 rng = workload::MakeRng(workload::DeriveSeed(42, 9));
+  const auto service_port = [&]() {
+    return kSdxServicePorts[rng() % std::size(kSdxServicePorts)];
+  };
+  // Policy shapes on top of dst MAC, with their rule counts in the census.
+  struct Shape {
+    bool in_port, src_ip, src_port, dst_port;
+    int rules;
+  };
+  constexpr Shape kShapes[] = {
+      {true, false, false, false, 299}, {false, true, false, false, 226},
+      {true, true, false, false, 44},   {false, false, true, false, 236},
+      {true, false, true, false, 67},   {false, true, true, false, 196},
+      {true, true, true, false, 5},     {false, false, false, true, 110},
+      {true, false, false, true, 2308}, {false, true, false, true, 34},
+      {true, true, false, true, 635},   {false, false, true, true, 4},
+      {true, false, true, true, 875},   {false, true, true, true, 4},
+      {true, true, true, true, 411},
+  };
+  std::vector<net::FieldMatch> policy;
+  for (const Shape& shape : kShapes) {
+    for (int i = 0; i < shape.rules; ++i) {
+      net::FieldMatch m = net::FieldMatch::DstMac(
+          net::MacAddress(kSdxVmacBase + rng() % kSdxPolicyVmacs));
+      if (shape.in_port) m.WithInPort(rng() % kSdxPorts);
+      if (shape.src_ip) {
+        m.WithSrcIp(net::IPv4Prefix(
+            net::IPv4Address(rng() % 2 ? 0x80000000u : 0u), 1));
+      }
+      if (shape.src_port) m.WithSrcPort(service_port());
+      if (shape.dst_port) m.WithDstPort(service_port());
+      policy.push_back(std::move(m));
+    }
+  }
+  std::shuffle(policy.begin(), policy.end(), rng);
+
+  std::vector<dataplane::FlowRule> rules;
+  const auto add = [&](std::int32_t priority, net::FieldMatch match) {
+    const auto out = static_cast<net::PortId>(rng() % kSdxPorts);
+    dataplane::FlowRule rule;
+    rule.priority = priority;
+    rule.match = std::move(match);
+    const net::MacAddress next_hop(0x020000000000ull + out);
+    rule.actions = {
+        dataplane::Action{dataplane::Rewrites().SetDstMac(next_hop), out}};
+    rule.cookie = 20;
+    rules.push_back(std::move(rule));
+  };
+  std::int32_t priority = 1;
+  for (int v = 0; v < kSdxVmacs; ++v) {
+    add(priority++, net::FieldMatch::DstMac(net::MacAddress(kSdxVmacBase + v)));
+  }
+  for (net::FieldMatch& match : policy) add(priority++, std::move(match));
+  dataplane::FlowRule catch_all;
+  catch_all.priority = 0;
+  catch_all.cookie = 1;
+  rules.push_back(std::move(catch_all));
+  sw.table().InstallAll(std::move(rules));
+}
+
+std::vector<net::Packet> MakeSdxShapeWorkload(std::size_t count,
+                                              std::uint64_t seed) {
+  std::mt19937 rng = workload::MakeRng(seed);
+  std::vector<net::Packet> packets;
+  packets.reserve(count);
+  // Half the packets use a port some policy rule names.
+  const auto port = [&]() -> std::uint16_t {
+    return rng() % 2 ? kSdxServicePorts[rng() % std::size(kSdxServicePorts)]
+                     : static_cast<std::uint16_t>(rng());
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    net::Packet p;
+    p.header.in_port = rng() % kSdxPorts;
+    p.header.src_ip = net::IPv4Address(static_cast<std::uint32_t>(rng()));
+    p.header.src_port = port();
+    p.header.dst_port = port();
+    // 3 in 5 to a policy VMAC, 1 in 3 to a delivery-only one, the rest to
+    // a MAC the dispatch table does not hold.
+    const std::uint32_t pick = rng() % 15;
+    const std::uint64_t vmac =
+        pick < 9    ? rng() % kSdxPolicyVmacs
+        : pick < 14 ? kSdxPolicyVmacs + rng() % (kSdxVmacs - kSdxPolicyVmacs)
+                    : kSdxVmacs + rng() % 1024;
+    p.header.dst_mac = net::MacAddress(kSdxVmacBase + vmac);
+    p.size_bytes = 64 + rng() % 1400;
+    packets.push_back(p);
+  }
+  return packets;
+}
+
+void BM_FlowTableProcessSdxShape(benchmark::State& state) {
+  dataplane::SwitchDataPlane sw;
+  LoadSdxShapeSwitch(sw, dataplane::FlowTable::Backend::kCompiled);
+  const auto packets =
+      MakeSdxShapeWorkload(4096, workload::DeriveSeed(42, 10));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto emissions = sw.Process(packets[i % packets.size()]);
+    benchmark::DoNotOptimize(emissions);
+    ++i;
+  }
+}
+BENCHMARK(BM_FlowTableProcessSdxShape);
+
+// The telemetry budget: sampled flow export may cost at most 5% on the
+// packet path, recorder detached vs attached at the production sampling
+// rate over a fixed seeded packet stream. Whole-stream passes (~45 ms)
+// were too coarse for a shared host: best-of-9 pass pairs read anywhere
+// from 0.91 to 1.12 across runs of one binary, because a noise episode
+// lasting a few passes hit one mode's minimum and not the other's. So the
+// stream is cut into short chunks (~1.4 ms of linear-path work), each
+// chunk is timed off and on back to back (which mode goes first
+// alternates), and each mode's total is the sum over chunks of that
+// chunk's best time across rounds: both modes see the same noise at the
+// same moment, and noise only ever adds time, so the per-chunk minima are
+// the honest floor. Unmeasured warm-up passes with the recorder attached
+// come first: each pass samples a mostly-fresh flow-key set, so the flow
+// cache only reaches capacity (and measured chunks only pay steady-state
+// eviction costs) after ~3 passes — an O(n)-eviction regression once hid
+// behind exactly those warm-up passes. The ratio lands in the metrics
+// snapshot as gauge `telemetry.overhead_ratio`, where the `sdxmon diff`
+// band (BenchDiffOptions::max_telemetry_overhead) flags it across PRs.
+// The gate also fails THIS run (nonzero exit) when the budget is blown.
 constexpr double kTelemetryOverheadBudget = 1.05;
+
+struct OverheadSeconds {
+  double off = 0.0;
+  double on = 0.0;
+};
+
+OverheadSeconds MeasureRecorderOverhead(dataplane::SwitchDataPlane& sw,
+                                        obs::FlowRecorder& recorder,
+                                        std::span<const net::Packet> packets) {
+  constexpr std::size_t kChunk = 1 << 12;
+  constexpr int kWarmupPasses = 3;
+  constexpr int kRounds = 16;
+  const std::size_t chunks = (packets.size() + kChunk - 1) / kChunk;
+  const auto chunk_seconds = [&](std::size_t chunk) {
+    const auto slice = packets.subspan(
+        chunk * kChunk, std::min(kChunk, packets.size() - chunk * kChunk));
+    const auto start = obs::Now();
+    for (const net::Packet& packet : slice) {
+      auto emissions = sw.Process(packet);
+      benchmark::DoNotOptimize(emissions);
+    }
+    return obs::SecondsSince(start);
+  };
+
+  sw.SetFlowRecorder(&recorder);
+  for (int pass = 0; pass < kWarmupPasses; ++pass) {
+    for (std::size_t chunk = 0; chunk < chunks; ++chunk) chunk_seconds(chunk);
+  }
+  std::vector<double> best_off(chunks, std::numeric_limits<double>::infinity());
+  std::vector<double> best_on(chunks, std::numeric_limits<double>::infinity());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+      for (std::size_t turn = 0; turn < 2; ++turn) {
+        const bool on = (round + chunk + turn) % 2 == 1;
+        sw.SetFlowRecorder(on ? &recorder : nullptr);
+        double& best = on ? best_on[chunk] : best_off[chunk];
+        best = std::min(best, chunk_seconds(chunk));
+      }
+    }
+  }
+  sw.SetFlowRecorder(nullptr);
+  OverheadSeconds total;
+  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+    total.off += best_off[chunk];
+    total.on += best_on[chunk];
+  }
+  return total;
+}
 
 int RunTelemetryOverheadGate(obs::MetricsRegistry& metrics) {
   constexpr std::size_t kPackets = 1 << 17;
-  constexpr int kPairs = 12;
-  constexpr int kWarmupPairs = 3;  // fills the flow cache to capacity
   const auto packets = MakePacketWorkload(kPackets, workload::DeriveSeed(42, 0));
   dataplane::SwitchDataPlane sw;
   LoadSwitch(sw);
@@ -363,32 +540,14 @@ int RunTelemetryOverheadGate(obs::MetricsRegistry& metrics) {
   // (telemetry.overhead_ns) is the backend-proof invariant to watch.
   sw.table().SetBackend(dataplane::FlowTable::Backend::kLinear);
 
-  const auto pass_seconds = [&]() {
-    const auto start = obs::Now();
-    for (const net::Packet& packet : packets) {
-      auto emissions = sw.Process(packet);
-      benchmark::DoNotOptimize(emissions);
-    }
-    return obs::SecondsSince(start);
-  };
-
   obs::FlowRecorder::Options options;
   options.seed = workload::DeriveSeed(42, 1);
   options.sample_rate = 64;
   options.cache_capacity = 4096;
   obs::FlowRecorder recorder(options);
 
-  double off_seconds = std::numeric_limits<double>::infinity();
-  double on_seconds = std::numeric_limits<double>::infinity();
-  for (int pair = 0; pair < kPairs; ++pair) {
-    const double off = pass_seconds();
-    sw.SetFlowRecorder(&recorder);
-    const double on = pass_seconds();
-    sw.SetFlowRecorder(nullptr);
-    if (pair < kWarmupPairs) continue;
-    off_seconds = std::min(off_seconds, off);
-    on_seconds = std::min(on_seconds, on);
-  }
+  const auto [off_seconds, on_seconds] =
+      MeasureRecorderOverhead(sw, recorder, packets);
   const double ratio = on_seconds / off_seconds;
   metrics.GetGauge("telemetry.overhead_ratio").Set(ratio);
   metrics.GetGauge("telemetry.off_seconds").Set(off_seconds);
@@ -402,27 +561,10 @@ int RunTelemetryOverheadGate(obs::MetricsRegistry& metrics) {
   {
     dataplane::SwitchDataPlane fast;
     LoadSwitch(fast);
-    double fast_off = std::numeric_limits<double>::infinity();
-    double fast_on = std::numeric_limits<double>::infinity();
-    const auto fast_pass = [&]() {
-      const auto start = obs::Now();
-      for (const net::Packet& packet : packets) {
-        auto emissions = fast.Process(packet);
-        benchmark::DoNotOptimize(emissions);
-      }
-      return obs::SecondsSince(start);
-    };
-    for (int pair = 0; pair < kPairs; ++pair) {
-      const double off = fast_pass();
-      fast.SetFlowRecorder(&recorder);
-      const double on = fast_pass();
-      fast.SetFlowRecorder(nullptr);
-      if (pair < kWarmupPairs) continue;
-      fast_off = std::min(fast_off, off);
-      fast_on = std::min(fast_on, on);
-    }
+    const OverheadSeconds compiled =
+        MeasureRecorderOverhead(fast, recorder, packets);
     metrics.GetGauge("telemetry.overhead_ratio_compiled")
-        .Set(fast_on / fast_off);
+        .Set(compiled.on / compiled.off);
   }
 
   // Deterministic export artifact: a fresh recorder over one pass of the
@@ -458,18 +600,62 @@ int RunTelemetryOverheadGate(obs::MetricsRegistry& metrics) {
   return 0;
 }
 
-// The ISSUE's fast-path gate: the compiled classifier backend must process
-// at least 10× the packets/sec of the linear reference scan on the
+// The fast-path gate: the compiled classifier backend must process at
+// least 10× the packets/sec of the linear reference scan on the
 // multi-tuple fixture above — measured honestly, after an equivalence
 // pre-check proving the two backends agree packet-for-packet (emissions
-// AND per-reason drops) on the same seeded stream. Timing is interleaved
-// best-of pass pairs, like the telemetry gate: noise only ever adds time,
+// AND per-reason drops) on the same seeded stream, and on the SDX-shaped
+// fixture's stream too (the only one that exercises dst-MAC dispatch).
+// Timing is interleaved best-of pass pairs: noise only ever adds time,
 // so the per-mode minima are the honest floor. The ratio lands in the
 // metrics snapshot as gauge `fastpath.speedup_ratio`, where the `sdxmon
 // diff` band (BenchDiffOptions::min_fastpath_speedup) flags it across
 // PRs; the gate also fails THIS run (nonzero exit) when the floor is
 // missed.
 constexpr double kFastPathSpeedupFloor = 10.0;
+
+// The equivalence pre-check: the two switches (linear and compiled
+// backend, same rules) must agree on `packets` — emissions compared in
+// order (batch is defined to preserve packet order), drops per reason.
+bool BackendsAgree(const char* fixture, dataplane::SwitchDataPlane& linear,
+                   dataplane::SwitchDataPlane& compiled,
+                   std::span<const net::Packet> packets) {
+  std::vector<dataplane::Emission> expected;
+  for (const net::Packet& packet : packets) {
+    for (auto& e : linear.Process(packet)) expected.push_back(std::move(e));
+  }
+  const auto got = compiled.ProcessBatch(packets);
+  if (got.size() != expected.size()) {
+    std::fprintf(stderr,
+                 "FAIL: %s equivalence: %zu emissions compiled vs %zu "
+                 "linear\n",
+                 fixture, got.size(), expected.size());
+    return false;
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].out_port != expected[i].out_port ||
+        !(got[i].packet.header == expected[i].packet.header)) {
+      std::fprintf(stderr,
+                   "FAIL: %s equivalence: emission %zu differs (port %u vs "
+                   "%u)\n",
+                   fixture, i, got[i].out_port, expected[i].out_port);
+      return false;
+    }
+  }
+  for (const obs::DropReason reason : obs::kAllDropReasons) {
+    if (compiled.drops().count(reason) != linear.drops().count(reason)) {
+      std::fprintf(
+          stderr,
+          "FAIL: %s equivalence: drop reason %s: %llu compiled vs %llu "
+          "linear\n",
+          fixture, obs::DropReasonName(reason),
+          static_cast<unsigned long long>(compiled.drops().count(reason)),
+          static_cast<unsigned long long>(linear.drops().count(reason)));
+      return false;
+    }
+  }
+  return true;
+}
 
 int RunFastPathGate(obs::MetricsRegistry& metrics) {
   constexpr std::size_t kPackets = 1 << 14;
@@ -484,45 +670,24 @@ int RunFastPathGate(obs::MetricsRegistry& metrics) {
   dataplane::SwitchDataPlane compiled;
   LoadFastPathSwitch(compiled, dataplane::FlowTable::Backend::kCompiled);
 
-  // Equivalence first: a fast wrong answer is worthless. Emissions are
-  // compared in order (batch is defined to preserve packet order), drops
-  // per reason.
+  // Equivalence first, on this fixture and on the SDX-shaped one: a fast
+  // wrong answer is worthless.
+  if (!BackendsAgree("fast-path", linear, compiled, packets)) return 1;
   {
-    std::vector<dataplane::Emission> expected;
-    for (const net::Packet& packet : packets) {
-      for (auto& e : linear.Process(packet)) expected.push_back(std::move(e));
-    }
-    const auto got = compiled.ProcessBatch(packets);
-    if (got.size() != expected.size()) {
-      std::fprintf(stderr,
-                   "FAIL: fastpath equivalence: %zu emissions compiled vs "
-                   "%zu linear\n",
-                   got.size(), expected.size());
+    dataplane::SwitchDataPlane sdx_linear;
+    LoadSdxShapeSwitch(sdx_linear, dataplane::FlowTable::Backend::kLinear);
+    dataplane::SwitchDataPlane sdx_compiled;
+    LoadSdxShapeSwitch(sdx_compiled, dataplane::FlowTable::Backend::kCompiled);
+    const auto sdx_packets =
+        MakeSdxShapeWorkload(1 << 12, workload::DeriveSeed(42, 10));
+    if (!BackendsAgree("sdx-shape", sdx_linear, sdx_compiled, sdx_packets)) {
       return 1;
     }
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      if (got[i].out_port != expected[i].out_port ||
-          !(got[i].packet.header == expected[i].packet.header)) {
-        std::fprintf(stderr,
-                     "FAIL: fastpath equivalence: emission %zu differs "
-                     "(port %u vs %u)\n",
-                     i, got[i].out_port, expected[i].out_port);
-        return 1;
-      }
-    }
-    for (const obs::DropReason reason : obs::kAllDropReasons) {
-      if (compiled.drops().count(reason) != linear.drops().count(reason)) {
-        std::fprintf(stderr,
-                     "FAIL: fastpath equivalence: drop reason %s: %llu "
-                     "compiled vs %llu linear\n",
-                     obs::DropReasonName(reason),
-                     static_cast<unsigned long long>(
-                         compiled.drops().count(reason)),
-                     static_cast<unsigned long long>(
-                         linear.drops().count(reason)));
-        return 1;
-      }
-    }
+    std::printf(
+        "fastpath: sdx-shape fixture agrees on %zu packets (%zu rules in %zu "
+        "tuples)\n",
+        sdx_packets.size(), sdx_compiled.table().size(),
+        sdx_compiled.table().CompiledTupleCount());
   }
 
   // Interleaved timing. Linear runs the per-packet path (its production

@@ -9,9 +9,11 @@
 //
 // Two lookup backends implement that contract (DESIGN.md §11):
 //
-//   * kCompiled (default) — a tuple-space-search classifier
-//     (dataplane/classifier.h) compiled from the rule vector: O(tuples)
-//     per lookup instead of O(rules). Every mutation bumps a version
+//   * kCompiled (default) — a two-stage tuple-space-search classifier
+//     (dataplane/classifier.h) compiled from the rule vector: one probe
+//     on the packet's dst MAC picks the few tuples its VMAC has rules in,
+//     plus the dst-MAC-wildcard ones, and one flat-table probe per tuple
+//     resolves each — instead of O(rules). Every mutation bumps a version
 //     counter; the classifier records the version it was compiled at, and
 //     a lookup consults it only when the two agree — a stale compile is
 //     never consulted (the lookup falls back to the linear scan and the
@@ -112,8 +114,8 @@ class FlowTable {
   // compile on demand). Safe to call concurrently with lookups.
   void Compile() const;
 
-  // Tuple count of the current compile — shape introspection for tests
-  // and benches (0 when never compiled).
+  // Distinct mask signatures (tuples) of the current compile — shape
+  // introspection for tests and benches (0 when never compiled).
   std::size_t CompiledTupleCount() const { return classifier_.tuple_count(); }
 
   // Lookup outcome counters. A "hit" is any matched rule (including

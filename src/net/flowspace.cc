@@ -336,70 +336,18 @@ MaskSignature MaskSignatureOf(const FieldMatch& match) {
   return sig;
 }
 
-namespace {
-
-// Shared packing layout for both ProjectKey overloads. Word 0 holds
-// in-port and masked src IP; word 1 masked dst IP and the transport
-// ports; word 2 the protocol and src MAC (48 bits); word 3 the dst MAC.
-MaskedKey PackKey(const MaskSignature& sig, PortId in_port,
-                  std::uint64_t src_mac, std::uint64_t dst_mac,
-                  std::uint32_t src_ip, std::uint32_t dst_ip,
-                  std::uint8_t proto, std::uint16_t src_port,
-                  std::uint16_t dst_port) {
-  MaskedKey key{};
-  if (sig.fields & FieldBit(Field::kInPort)) {
-    key[0] |= std::uint64_t{in_port} << 32;
-  }
-  if (sig.fields & FieldBit(Field::kSrcIp)) {
-    key[0] |= src_ip & IPv4Prefix::Mask(sig.src_ip_bits);
-  }
-  if (sig.fields & FieldBit(Field::kDstIp)) {
-    key[1] |= std::uint64_t{dst_ip & IPv4Prefix::Mask(sig.dst_ip_bits)} << 32;
-  }
-  if (sig.fields & FieldBit(Field::kSrcPort)) {
-    key[1] |= std::uint64_t{src_port} << 16;
-  }
-  if (sig.fields & FieldBit(Field::kDstPort)) {
-    key[1] |= dst_port;
-  }
-  if (sig.fields & FieldBit(Field::kProto)) {
-    key[2] |= std::uint64_t{proto} << 48;
-  }
-  if (sig.fields & FieldBit(Field::kSrcMac)) {
-    key[2] |= src_mac;
-  }
-  if (sig.fields & FieldBit(Field::kDstMac)) {
-    key[3] = dst_mac;
-  }
-  return key;
-}
-
-}  // namespace
-
 MaskedKey ProjectKey(const FieldMatch& match, const MaskSignature& sig) {
-  return PackKey(
-      sig, match.in_port().value_or(0),
-      match.src_mac() ? match.src_mac()->value() : 0,
-      match.dst_mac() ? match.dst_mac()->value() : 0,
-      match.src_ip() ? match.src_ip()->network().value() : 0,
-      match.dst_ip() ? match.dst_ip()->network().value() : 0,
-      match.proto().value_or(0), match.src_port().value_or(0),
-      match.dst_port().value_or(0));
-}
-
-MaskedKey ProjectKey(const PacketHeader& header, const MaskSignature& sig) {
-  return PackKey(sig, header.in_port, header.src_mac.value(),
-                 header.dst_mac.value(), header.src_ip.value(),
-                 header.dst_ip.value(), header.proto, header.src_port,
-                 header.dst_port);
-}
-
-std::size_t HashValue(const MaskedKey& key) {
-  std::size_t seed = 0;
-  for (std::uint64_t word : key) {
-    HashCombine(seed, std::hash<std::uint64_t>{}(word));
-  }
-  return seed;
+  // Unconstrained fields pack as zero, and the mask clears them anyway.
+  PacketHeader values;
+  values.in_port = match.in_port().value_or(0);
+  values.src_mac = match.src_mac().value_or(MacAddress());
+  values.dst_mac = match.dst_mac().value_or(MacAddress());
+  values.src_ip = match.src_ip() ? match.src_ip()->network() : IPv4Address();
+  values.dst_ip = match.dst_ip() ? match.dst_ip()->network() : IPv4Address();
+  values.proto = match.proto().value_or(0);
+  values.src_port = match.src_port().value_or(0);
+  values.dst_port = match.dst_port().value_or(0);
+  return ProjectKey(values, sig);
 }
 
 }  // namespace sdx::net

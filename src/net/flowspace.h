@@ -26,6 +26,7 @@
 #include "net/ipv4.h"
 #include "net/mac.h"
 #include "net/packet.h"
+#include "util/mix.h"
 
 namespace sdx::net {
 
@@ -152,6 +153,13 @@ struct MaskSignature {
 //   m.Matches(h)  <=>  ProjectKey(m, sig) == ProjectKey(h, sig)
 // which holds because non-IP constraints are exact values and IP
 // constraints compare only the top `*_ip_bits` bits on both sides.
+//
+// Layout: word 0 holds in-port (high half) and src IP (low half); word 1
+// dst IP (high half) and the transport ports; word 2 the protocol (bits
+// 48-55) and src MAC (48 bits); word 3 the dst MAC. No two fields share a
+// bit, so projecting is a bitwise AND of the fully packed header with the
+// signature's mask (KeyMask) — a classifier packs each packet once and
+// projects it onto every tuple with four ANDs.
 using MaskedKey = std::array<std::uint64_t, 4>;
 
 // The signature of the fields `match` constrains.
@@ -161,11 +169,56 @@ MaskSignature MaskSignatureOf(const FieldMatch& match);
 // MaskSignatureOf(match).
 MaskedKey ProjectKey(const FieldMatch& match, const MaskSignature& sig);
 
+// Every field of `header`, unmasked, in the MaskedKey layout.
+inline MaskedKey PackHeader(const PacketHeader& header) {
+  return {(std::uint64_t{header.in_port} << 32) | header.src_ip.value(),
+          (std::uint64_t{header.dst_ip.value()} << 32) |
+              (std::uint64_t{header.src_port} << 16) | header.dst_port,
+          (std::uint64_t{header.proto} << 48) | header.src_mac.value(),
+          header.dst_mac.value()};
+}
+
+// The bits of the MaskedKey layout that `sig` constrains.
+inline MaskedKey KeyMask(const MaskSignature& sig) {
+  const auto has = [&](Field field) {
+    return (sig.fields & FieldBit(field)) != 0;
+  };
+  constexpr std::uint64_t kMac = 0xFFFFFFFFFFFFull;
+  MaskedKey mask{};
+  if (has(Field::kInPort)) mask[0] |= 0xFFFFFFFFull << 32;
+  if (has(Field::kSrcIp)) mask[0] |= IPv4Prefix::Mask(sig.src_ip_bits);
+  if (has(Field::kDstIp)) {
+    mask[1] |= std::uint64_t{IPv4Prefix::Mask(sig.dst_ip_bits)} << 32;
+  }
+  if (has(Field::kSrcPort)) mask[1] |= 0xFFFFull << 16;
+  if (has(Field::kDstPort)) mask[1] |= 0xFFFFull;
+  if (has(Field::kProto)) mask[2] |= 0xFFull << 48;
+  if (has(Field::kSrcMac)) mask[2] |= kMac;
+  if (has(Field::kDstMac)) mask[3] = kMac;
+  return mask;
+}
+
+inline MaskedKey ApplyMask(const MaskedKey& packed, const MaskedKey& mask) {
+  return {packed[0] & mask[0], packed[1] & mask[1], packed[2] & mask[2],
+          packed[3] & mask[3]};
+}
+
 // The header's fields projected under `sig` (IP fields masked to the
 // signature's prefix lengths).
-MaskedKey ProjectKey(const PacketHeader& header, const MaskSignature& sig);
+inline MaskedKey ProjectKey(const PacketHeader& header,
+                            const MaskSignature& sig) {
+  return ApplyMask(PackHeader(header), KeyMask(sig));
+}
 
-std::size_t HashValue(const MaskedKey& key);
+// Each word scaled by its own odd constant (a key differing in one word
+// always hashes differently before the mix), then one 64-bit finalizer,
+// so open-addressing tables can index by the low bits.
+inline std::size_t HashValue(const MaskedKey& key) {
+  return util::Mix64(key[0] * 0x9E3779B97F4A7C15ull +
+               key[1] * 0xC2B2AE3D27D4EB4Full +
+               key[2] * 0x165667B19E3779F9ull +
+               key[3] * 0xD6E8FEB86659FD93ull);
+}
 
 }  // namespace sdx::net
 

@@ -1,7 +1,9 @@
 #include "obs/flow_recorder.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <iterator>
 
 namespace sdx::obs {
 
@@ -55,9 +57,11 @@ FlowRecorder::FlowRecorder(Options options) : options_(options) {
   // "sample everything".
   options_.sample_rate = std::max<std::uint32_t>(1, options_.sample_rate);
   sample_threshold_ = SampleThreshold(options_.sample_rate);
-  // Size never exceeds capacity + 1 (EvictIfOverCapacityLocked runs right
-  // after each insert), so this reservation guarantees no rehash ever.
-  cache_.reserve(options_.cache_capacity + 2);
+  // A full cache makes room by evicting one live flow, so it must hold one.
+  options_.cache_capacity = std::max<std::size_t>(1, options_.cache_capacity);
+  // Starts small; Grow() doubles up to twice the capacity.
+  slots_.resize(
+      std::min<std::size_t>(64, std::bit_ceil(2 * options_.cache_capacity)));
 }
 
 double FlowRecorder::NowSeconds() const { return clock_.NowSeconds(); }
@@ -69,9 +73,9 @@ void FlowRecorder::RecordSampled(const Sample& sample, std::uint64_t seq) {
                     sample.priority, sample.fec};
   std::lock_guard<std::mutex> lock(mu_);
   const double now = NowSeconds();
-  auto [it, inserted] = cache_.try_emplace(key);
-  FlowState& state = it->second;
-  if (!inserted) {
+  std::uint32_t slot = FindSlot(key);
+  if (slots_[slot].used) {
+    FlowState& state = slots_[slot].state;
     // Timeout check happens on touch: a flow idle past the idle timeout,
     // or active past the active timeout, is closed and restarted.
     const bool idle = now - state.last_seconds > options_.idle_timeout_seconds;
@@ -80,23 +84,92 @@ void FlowRecorder::RecordSampled(const Sample& sample, std::uint64_t seq) {
         now - state.first_seconds > options_.active_timeout_seconds;
     if (idle || active) {
       CloseLocked(key, state, idle ? "idle" : "active");
-      const auto lru_it = state.lru_it;  // keep the list node, move to back
       state = FlowState{};
-      state.lru_it = lru_it;
       state.first_seq = seq;
       state.first_seconds = now;
     }
-    lru_.splice(lru_.end(), lru_, state.lru_it);
+    Unlink(slot);
   } else {
-    state.first_seq = seq;
-    state.first_seconds = now;
-    state.lru_it = lru_.insert(lru_.end(), key);
+    if (live_ == options_.cache_capacity) {
+      // Full: evict the least recently sampled flow.
+      const std::uint32_t victim = lru_head_;
+      CloseLocked(slots_[victim].key, slots_[victim].state, "evict");
+      ++cache_evictions_;
+      EraseSlot(victim);
+      slot = FindSlot(key);  // the erase may have shifted the probe run
+    } else if (2 * (live_ + 1) > slots_.size()) {
+      Grow();
+      slot = FindSlot(key);
+    }
+    Slot& fresh = slots_[slot];
+    fresh.key = key;
+    fresh.state = FlowState{};
+    fresh.state.first_seq = seq;
+    fresh.state.first_seconds = now;
+    fresh.used = true;
+    ++live_;
   }
+  LinkBack(slot);
+  FlowState& state = slots_[slot].state;
   state.sampled_packets += 1;
   state.sampled_bytes += sample.size_bytes;
   state.last_seq = seq;
   state.last_seconds = now;
-  EvictIfOverCapacityLocked();
+}
+
+std::uint32_t FlowRecorder::FindSlot(const FlowKey& key) const {
+  const std::size_t wrap = slots_.size() - 1;
+  std::size_t i = FlowKeyHash{}(key) & wrap;
+  while (slots_[i].used && !(slots_[i].key == key)) i = (i + 1) & wrap;
+  return static_cast<std::uint32_t>(i);
+}
+
+void FlowRecorder::LinkBack(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.prev = lru_tail_;
+  s.next = kNil;
+  (lru_tail_ == kNil ? lru_head_ : slots_[lru_tail_].next) = slot;
+  lru_tail_ = slot;
+}
+
+void FlowRecorder::Unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  (s.prev == kNil ? lru_head_ : slots_[s.prev].next) = s.next;
+  (s.next == kNil ? lru_tail_ : slots_[s.next].prev) = s.prev;
+}
+
+void FlowRecorder::EraseSlot(std::uint32_t slot) {
+  Unlink(slot);
+  --live_;
+  const std::size_t wrap = slots_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t j = (hole + 1) & wrap; slots_[j].used; j = (j + 1) & wrap) {
+    // The entry at j may fill the hole iff the hole lies on its probe
+    // path: cyclically no farther from j than its home slot is.
+    const std::size_t home = FlowKeyHash{}(slots_[j].key) & wrap;
+    if (((j - home) & wrap) < ((j - hole) & wrap)) continue;
+    Slot& moved = slots_[hole];
+    moved = slots_[j];
+    const auto to = static_cast<std::uint32_t>(hole);
+    (moved.prev == kNil ? lru_head_ : slots_[moved.prev].next) = to;
+    (moved.next == kNil ? lru_tail_ : slots_[moved.next].prev) = to;
+    hole = j;
+  }
+  slots_[hole].used = false;
+}
+
+void FlowRecorder::Grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  std::uint32_t from = lru_head_;
+  lru_head_ = lru_tail_ = kNil;
+  for (; from != kNil; from = old[from].next) {
+    const std::uint32_t slot = FindSlot(old[from].key);
+    slots_[slot].key = old[from].key;
+    slots_[slot].state = old[from].state;
+    slots_[slot].used = true;
+    LinkBack(slot);
+  }
 }
 
 void FlowRecorder::SetPortOwner(std::uint32_t port, std::uint32_t as) {
@@ -129,38 +202,27 @@ void FlowRecorder::CloseLocked(const FlowKey& key, const FlowState& state,
   ++flows_exported_;
 }
 
-void FlowRecorder::EvictIfOverCapacityLocked() {
-  while (cache_.size() > options_.cache_capacity) {
-    // Deterministic LRU: the list front is the entry whose last sample is
-    // oldest by sequence number (ties impossible: seq is unique per
-    // packet). O(log n) for the map erase, no scan.
-    auto victim = cache_.find(lru_.front());
-    CloseLocked(victim->first, victim->second, "evict");
-    cache_.erase(victim);
-    lru_.pop_front();
-    ++cache_evictions_;
-  }
-}
-
 void FlowRecorder::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
   // The cache hashes, but the export format promises deterministic key
   // order on flush; this path is cold, so sort here.
-  std::vector<const std::pair<const FlowKey, FlowState>*> live;
-  live.reserve(cache_.size());
-  for (const auto& entry : cache_) live.push_back(&entry);
-  std::sort(live.begin(), live.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : live) {
-    CloseLocked(entry->first, entry->second, "flush");
+  std::vector<const Slot*> live;
+  live.reserve(live_);
+  for (const Slot& slot : slots_) {
+    if (slot.used) live.push_back(&slot);
   }
-  cache_.clear();
-  lru_.clear();
+  std::sort(live.begin(), live.end(),
+            [](const Slot* a, const Slot* b) { return a->key < b->key; });
+  for (const Slot* slot : live) CloseLocked(slot->key, slot->state, "flush");
+  for (Slot& slot : slots_) slot.used = false;
+  live_ = 0;
+  lru_head_ = lru_tail_ = kNil;
 }
 
 std::vector<FlowRecord> FlowRecorder::Drain() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FlowRecord> out = std::move(exported_);
+  std::vector<FlowRecord> out(std::make_move_iterator(exported_.begin()),
+                              std::make_move_iterator(exported_.end()));
   exported_.clear();
   return out;
 }
@@ -194,7 +256,7 @@ std::uint64_t FlowRecorder::cache_evictions() const {
 
 std::size_t FlowRecorder::live_flows() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
+  return live_;
 }
 
 void FlowRecorder::SetClockForTest(std::function<double()> clock) {

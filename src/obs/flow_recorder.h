@@ -10,12 +10,12 @@
 // enough to be worth exporting.
 //
 // Determinism (no std::random_device anywhere): the sampling decision for
-// packet #seq is a pure function of (seed, seq) — a splitmix64 finalizer,
-// the same mixer as workload::DeriveSeed, applied to seed^seq. A fixed
-// seed plus a fixed packet order therefore yields a byte-identical export
-// (modulo wall-clock timestamp fields, which DrainJsonl can omit). Seeds
-// come from the caller, typically via workload::DeriveSeed; the mixer is
-// inlined here so obs stays dependency-free.
+// packet #seq is a pure function of (seed, seq) — a splitmix64 finalizer
+// (util/mix.h, the same mixer as workload::DeriveSeed) applied to seed^seq.
+// A fixed seed plus a fixed packet order therefore yields a byte-identical
+// export (modulo wall-clock timestamp fields, which DrainJsonl can omit).
+// Seeds come from the caller, typically via workload::DeriveSeed; the
+// mixer is header-only, so obs stays dependency-free.
 //
 // Flow identity is a tuple of plain integers — obs does not know about
 // net::Packet. The dataplane passes (in-port, out-port, matched rule
@@ -26,26 +26,20 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/timer.h"
+#include "util/mix.h"
 
 namespace sdx::obs {
 
-// Splitmix64 finalizer — the same mixer as workload::DeriveSeed, inlined
-// here so obs keeps zero dependencies on the workload layer and the
-// packet-path sampling decision can inline into the dataplane.
-inline constexpr std::uint64_t Mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
+// The packet-path sampling decision inlines into the dataplane.
+using util::Mix64;
 
 // One exported flow: the key tuple, resolved participants, sampled and
 // estimated volumes, and the sample-sequence/time window it covers.
@@ -77,7 +71,7 @@ class FlowRecorder {
   struct Options {
     std::uint64_t seed = 1;            // workload::DeriveSeed output
     std::uint32_t sample_rate = 64;    // sample 1 in N packets; >= 1
-    std::size_t cache_capacity = 1024; // live flows before eviction
+    std::size_t cache_capacity = 1024; // live flows before eviction (≥ 1)
     double idle_timeout_seconds = 15.0;
     double active_timeout_seconds = 60.0;  // 0 disables active timeouts
 
@@ -179,17 +173,35 @@ class FlowRecorder {
     std::uint64_t last_seq = 0;
     double first_seconds = 0.0;
     double last_seconds = 0.0;
-    std::list<FlowKey>::iterator lru_it{};  // position in lru_
+  };
+
+  // One flow-cache slot; `prev`/`next` thread the LRU list through the
+  // slot array by index.
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  struct Slot {
+    FlowKey key{};
+    FlowState state;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+    bool used = false;
   };
 
   // The 1-in-rate slow path: counts the sample and touches the flow cache.
   void RecordSampled(const Sample& sample, std::uint64_t seq);
 
   double NowSeconds() const;
-  // Both called with mu_ held.
+  // The rest are called with mu_ held.
   void CloseLocked(const FlowKey& key, const FlowState& state,
                    const char* reason);
-  void EvictIfOverCapacityLocked();
+  // The slot holding `key`, or the empty slot that ends its probe.
+  std::uint32_t FindSlot(const FlowKey& key) const;
+  void LinkBack(std::uint32_t slot);
+  void Unlink(std::uint32_t slot);
+  // Frees `slot`, shifting later entries of its probe run back into the
+  // hole (no tombstones), and relinks every entry it moves.
+  void EraseSlot(std::uint32_t slot);
+  // Doubles the slot array, keeping the LRU order.
+  void Grow();
 
   Options options_;  // sanitized in the ctor, constant afterwards
   std::uint64_t sample_threshold_ = ~0ull;  // SampleThreshold(sample_rate)
@@ -197,17 +209,22 @@ class FlowRecorder {
   std::atomic<std::uint64_t> packets_sampled_{0};
 
   mutable std::mutex mu_;
-  // Hash cache on the sampled path (the ctor reserves buckets for the
-  // full capacity, so it never rehashes); the deterministic key order the
-  // export format promises is recovered by a sort in FlushAll, which is
-  // cold. Eviction stays deterministic via the LRU list below.
-  std::unordered_map<FlowKey, FlowState, FlowKeyHash> cache_;
-  // Touch order: front = least recently sampled (equivalently, smallest
-  // last_seq — seq is unique and each touch moves the flow to the back),
+  // Flow cache on the sampled path: open addressing with linear probing
+  // over a power-of-two slot array kept at most half full, so a sample
+  // touches a slot or two and allocates nothing once the array has grown
+  // to twice the capacity. The deterministic key order the export format
+  // promises is recovered by a sort in FlushAll, which is cold.
+  std::vector<Slot> slots_;
+  std::size_t live_ = 0;
+  // Touch order: head = least recently sampled (equivalently, smallest
+  // last_seq — seq is unique and each touch moves the flow to the tail),
   // so eviction stays deterministic at O(1) per insert instead of a scan.
-  std::list<FlowKey> lru_;
+  std::uint32_t lru_head_ = kNil;
+  std::uint32_t lru_tail_ = kNil;
   std::map<std::uint32_t, std::uint32_t> port_owner_;
-  std::vector<FlowRecord> exported_;
+  // Closed flows awaiting Drain. A deque, not a vector: it grows without
+  // moving what it holds, so closing a flow never copies the backlog.
+  std::deque<FlowRecord> exported_;
   std::uint64_t flows_exported_ = 0;
   std::uint64_t cache_evictions_ = 0;
   ClockSource clock_;  // injectable via SetClockForTest (under mu_)

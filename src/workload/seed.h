@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <random>
 
+#include "util/mix.h"
+
 namespace sdx::workload {
 
 inline std::mt19937 MakeRng(std::uint64_t seed) {
@@ -21,10 +23,7 @@ inline std::mt19937 MakeRng(std::uint64_t seed) {
 // Derives an independent sub-stream seed (e.g. one per participant or per
 // round) without correlating neighboring seeds: splitmix64 finalizer.
 inline std::uint64_t DeriveSeed(std::uint64_t seed, std::uint64_t lane) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (lane + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return util::Mix64(seed + 0x9e3779b97f4a7c15ull * (lane + 1));
 }
 
 }  // namespace sdx::workload

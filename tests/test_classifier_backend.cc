@@ -163,6 +163,47 @@ TEST_P(BackendTest, RemoveByCookieUpdatesLookup) {
   EXPECT_EQ(table_.Lookup(PortPacket(80))->actions[0].out_port, 2u);
 }
 
+// The classifier answers from two lists — the packet's VMAC list and the
+// dst-MAC-wildcard list — and takes the larger index. Precedence must hold
+// across them in both directions.
+TEST_P(BackendTest, WildcardAndPinnedDstMacRulesCompareByPrecedence) {
+  const net::MacAddress vmac(0x0A0000000001ull);
+  table_.Install(MakeRule(20, FieldMatch::InPort(1), 1));
+  table_.Install(MakeRule(10, FieldMatch::DstMac(vmac).WithInPort(1), 2));
+  table_.Install(MakeRule(30, FieldMatch::DstMac(vmac).WithInPort(2), 3));
+  table_.Install(MakeRule(25, FieldMatch::InPort(2), 4));
+  PacketHeader h = PortPacket(80);
+  h.dst_mac = vmac;
+  h.in_port = 1;  // wildcard rule (20) beats the pinned one (10)
+  EXPECT_EQ(table_.Lookup(h)->actions[0].out_port, 1u);
+  h.in_port = 2;  // pinned rule (30) beats the wildcard one (25)
+  EXPECT_EQ(table_.Lookup(h)->actions[0].out_port, 3u);
+  h.dst_mac = net::MacAddress(0x0A0000000002ull);  // no list for this MAC
+  EXPECT_EQ(table_.Lookup(h)->actions[0].out_port, 4u);
+}
+
+// Early exit across the two lists: the VMAC's best tuple (a dst-port rule
+// at 15) ranks below the wildcard list's best entry (a dst-port rule at
+// 40, which misses), and the wildcard list's second entry (in-port at 20)
+// matches. The answer is that wildcard rule, not the VMAC's 15.
+TEST_P(BackendTest, VmacBestBelowWildcardMatchStillLoses) {
+  const net::MacAddress vmac(0x0A0000000001ull);
+  table_.Install(MakeRule(0, FieldMatch(), 9));
+  table_.Install(MakeRule(5, FieldMatch::DstMac(vmac), 5));
+  table_.Install(MakeRule(15, FieldMatch::DstMac(vmac).WithDstPort(80), 6));
+  table_.Install(MakeRule(20, FieldMatch::InPort(1), 7));
+  table_.Install(MakeRule(40, FieldMatch::DstPort(443), 8));
+  PacketHeader h = PortPacket(80);
+  h.dst_mac = vmac;
+  EXPECT_EQ(table_.Lookup(h)->actions[0].out_port, 7u);
+  h.in_port = 2;  // wildcard in-port rule misses: the VMAC's best wins
+  EXPECT_EQ(table_.Lookup(h)->actions[0].out_port, 6u);
+  h.dst_port = 22;  // VMAC delivery rule
+  EXPECT_EQ(table_.Lookup(h)->actions[0].out_port, 5u);
+  h.dst_mac = net::MacAddress(0x0A0000000002ull);  // catch-all
+  EXPECT_EQ(table_.Lookup(h)->actions[0].out_port, 9u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, BackendTest,
     ::testing::Values(FlowTable::Backend::kLinear,
@@ -382,6 +423,139 @@ TEST(CompiledBackendFuzz, FastPathBandsAboveAGeneration) {
       check("after retire");
     }
     ASSERT_EQ(compiled.size(), generation.size());
+  }
+}
+
+// SDX-shaped rules (§4.2): nearly every rule pins a VMAC, so the compiled
+// backend dispatches on dst MAC first. Shapes mirror the compiler's output
+// — in_port + dst_mac + dst_port, dst_mac + src_ip/1, dst_mac alone — over
+// ~200 VMACs, mixed with dst-MAC-wildcard rules above and below them at
+// equal and different priorities. Mutations cover mid-table installs into
+// existing VMACs (renumbering entries across lists), new-VMAC bands of 8
+// (replayed) and 100 (log overflow, rebuild) rules, and removals; packets
+// also carry MACs the dispatch table does not hold.
+constexpr std::uint64_t kVmacBase = 0x0A0000000000ull;
+constexpr int kVmacPool = 200;
+
+FieldMatch SdxMatch(std::mt19937& rng, std::uint64_t vmac) {
+  FieldMatch m;
+  switch (rng() % 8) {
+    case 0:  // dst-MAC wildcard: in-port, dst-port, or both
+      m.WithInPort(rng() % 6);
+      if (rng() % 2) m.WithDstPort(static_cast<std::uint16_t>(rng() % 8));
+      return m;
+    case 1:
+      if (rng() % 4 == 0) return m;  // catch-all
+      return m.WithDstPort(static_cast<std::uint16_t>(rng() % 8));
+    case 2:
+      return FieldMatch::DstMac(net::MacAddress(vmac));
+    case 3:
+    case 4:
+      return FieldMatch::DstMac(net::MacAddress(vmac)).WithSrcIp(
+          net::IPv4Prefix(net::IPv4Address(rng() % 2 ? 0x80000000u : 0u), 1));
+    default:
+      return FieldMatch::DstMac(net::MacAddress(vmac))
+          .WithInPort(rng() % 6)
+          .WithDstPort(static_cast<std::uint16_t>(rng() % 8));
+  }
+}
+
+TEST(CompiledBackendFuzz, VmacDispatchMatchesLinear) {
+  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+    std::mt19937 rng(seed);
+    FlowTable linear;
+    linear.SetBackend(FlowTable::Backend::kLinear);
+    FlowTable compiled;
+    compiled.SetBackend(FlowTable::Backend::kCompiled);
+
+    // Band VMACs sit above the pool; kVmacBase + 5000 and up are never
+    // installed, so those packets find no dispatch entry.
+    std::uint64_t next_band_vmac = kVmacBase + kVmacPool;
+    const auto header = [&]() {
+      PacketHeader h;
+      h.in_port = rng() % 6;
+      h.dst_port = static_cast<std::uint16_t>(rng() % 8);
+      h.src_ip = net::IPv4Address(static_cast<std::uint32_t>(rng()));
+      switch (rng() % 8) {
+        case 0:
+          h.dst_mac = net::MacAddress(kVmacBase + 5000 + rng() % 64);
+          break;
+        case 1:
+          h.dst_mac = net::MacAddress(
+              kVmacBase + kVmacPool +
+              rng() % (next_band_vmac - kVmacBase - kVmacPool + 1));
+          break;
+        default:
+          h.dst_mac = net::MacAddress(kVmacBase + rng() % kVmacPool);
+          break;
+      }
+      return h;
+    };
+    const auto check = [&](const char* phase) {
+      for (int i = 0; i < 400; ++i) {
+        const PacketHeader h = header();
+        ASSERT_EQ(IndexOf(linear, linear.Lookup(h)),
+                  IndexOf(compiled, compiled.Lookup(h)))
+            << "seed=" << seed << " " << phase << " header=" << h.ToString();
+      }
+    };
+    const auto install = [&](const FlowRule& rule) {
+      linear.Install(rule);
+      compiled.Install(rule);
+    };
+
+    // A generation with few distinct priorities: plenty of ties between
+    // wildcard and pinned rules, and between lists.
+    std::vector<FlowRule> generation;
+    for (int i = 0; i < 1500; ++i) {
+      generation.push_back(MakeRule(
+          static_cast<std::int32_t>(rng() % 50),
+          SdxMatch(rng, kVmacBase + rng() % kVmacPool),
+          static_cast<net::PortId>(rng() % 8), /*cookie=*/1 + rng() % 3));
+    }
+    linear.InstallAll(generation);
+    compiled.InstallAll(generation);
+    check("generation");
+
+    // Mid-table installs into existing VMACs, in bursts short enough to
+    // be replayed: each shifts stored indices in tuples and lists.
+    for (int burst = 0; burst < 4; ++burst) {
+      for (int i = 0; i < 12; ++i) {
+        install(MakeRule(static_cast<std::int32_t>(rng() % 50),
+                         SdxMatch(rng, kVmacBase + rng() % kVmacPool),
+                         static_cast<net::PortId>(rng() % 8),
+                         /*cookie=*/1 + rng() % 3));
+        if (i == 6) check("mid-table burst");
+      }
+      check("after mid-table burst");
+    }
+
+    // New-VMAC bands above every stored rule, descending priority.
+    std::int32_t top = 100;
+    Cookie cookie = 100;
+    for (const int band : {8, 100, 8}) {
+      ++cookie;
+      top += 2 * band;
+      std::int32_t priority = top;
+      for (int i = 0; i < band; ++i) {
+        if (i % 4 == 0) ++next_band_vmac;
+        priority -= static_cast<std::int32_t>(rng() % 2);  // ties too
+        install(MakeRule(priority, SdxMatch(rng, next_band_vmac),
+                         static_cast<net::PortId>(rng() % 8), cookie));
+        if (i == band / 2) check("mid-band");
+      }
+      check("after band");
+    }
+
+    const Cookie generation_victim = 1 + rng() % 3;
+    ASSERT_EQ(linear.RemoveByCookie(generation_victim),
+              compiled.RemoveByCookie(generation_victim));
+    check("after generation removal");
+    for (; cookie > 100; --cookie) {
+      ASSERT_EQ(linear.RemoveByCookie(cookie),
+                compiled.RemoveByCookie(cookie));
+      check("after band retire");
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // byte-identical JSONL export for a fixed seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/flow_recorder.h"
@@ -207,6 +209,86 @@ TEST(FlowRecorder, FlushExportsInDeterministicKeyOrder) {
   }
   EXPECT_EQ(recorder.live_flows(), 0u);
   EXPECT_EQ(recorder.flows_exported(), 3u);
+}
+
+// The flow cache is an open-addressing table with the LRU list threaded
+// through its slots; erasing shifts entries and growing rehashes them.
+// A plain list-based LRU model must export the same records in the same
+// order, through growth (capacity 300 over 200 keys) and through steady
+// eviction (capacity 37).
+TEST(FlowRecorder, CacheMatchesAReferenceLru) {
+  for (const std::size_t capacity : {std::size_t{37}, std::size_t{300}}) {
+    FlowRecorder::Options options;
+    options.sample_rate = 1;
+    options.cache_capacity = capacity;
+    FlowRecorder recorder(options);
+
+    struct Model {
+      std::uint32_t in_port;
+      std::uint64_t cookie;
+      std::uint64_t packets = 0;
+      std::uint64_t bytes = 0;
+      std::uint64_t first_seq = 0;
+      std::uint64_t last_seq = 0;
+    };
+    std::vector<Model> lru;  // front = least recently sampled
+    std::vector<Model> expected;
+    std::uint64_t evictions = 0;
+    std::uint64_t state = 12345;
+    for (std::uint64_t seq = 0; seq < 20000; ++seq) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      // Skewed keys: a hot few and a long tail, 200 in all.
+      const std::uint64_t draw = (state >> 33) % 1000;
+      const std::uint64_t key = draw < 500 ? draw % 10 : draw % 200;
+      const auto in_port = static_cast<std::uint32_t>(key % 16);
+      const std::uint64_t cookie = key;
+      const auto bytes = static_cast<std::uint32_t>(64 + seq % 7);
+      recorder.RecordPacket(MakeSample(in_port, 1, cookie, bytes));
+
+      auto it = std::find_if(lru.begin(), lru.end(), [&](const Model& m) {
+        return m.cookie == cookie;
+      });
+      Model touched;
+      if (it != lru.end()) {
+        touched = *it;
+        lru.erase(it);
+      } else {
+        if (lru.size() == capacity) {
+          expected.push_back(lru.front());
+          lru.erase(lru.begin());
+          ++evictions;
+        }
+        touched = Model{in_port, cookie};
+        touched.first_seq = seq;
+      }
+      touched.packets += 1;
+      touched.bytes += bytes;
+      touched.last_seq = seq;
+      lru.push_back(touched);
+    }
+    EXPECT_EQ(recorder.live_flows(), lru.size());
+    EXPECT_EQ(recorder.cache_evictions(), evictions);
+    recorder.FlushAll();
+    std::sort(lru.begin(), lru.end(), [](const Model& a, const Model& b) {
+      return std::pair(a.in_port, a.cookie) < std::pair(b.in_port, b.cookie);
+    });
+    const std::size_t evicted = expected.size();
+    expected.insert(expected.end(), lru.begin(), lru.end());
+
+    const auto records = recorder.Drain();
+    ASSERT_EQ(records.size(), expected.size()) << "capacity=" << capacity;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "capacity=" << capacity << " record " << i);
+      EXPECT_EQ(records[i].in_port, expected[i].in_port);
+      EXPECT_EQ(records[i].rule_cookie, expected[i].cookie);
+      EXPECT_EQ(records[i].sampled_packets, expected[i].packets);
+      EXPECT_EQ(records[i].sampled_bytes, expected[i].bytes);
+      EXPECT_EQ(records[i].first_seq, expected[i].first_seq);
+      EXPECT_EQ(records[i].last_seq, expected[i].last_seq);
+      EXPECT_STREQ(records[i].close_reason, i < evicted ? "evict" : "flush");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
