@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the hot paths under every figure:
-// flow-space intersection, classifier composition, longest-prefix match,
-// FEC computation, and flow-table lookup.
+// flow-space intersection, classifier composition, longest-prefix match
+// (the trie and the border routers' shared FIB), FEC computation, and
+// flow-table lookup.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "obs/timer.h"
 #include "policy/compile.h"
 #include "sdx/fec.h"
+#include "sdx/participant.h"
 #include "sweep_common.h"
 #include "workload/seed.h"
 #include "workload/topology_gen.h"
@@ -111,6 +113,57 @@ void BM_PrefixTrieLongestMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrefixTrieLongestMatch);
+
+// Border-router FIB lookups at perfbench's shape: one shared FIB viewed by
+// 300 routers, 4,000 dense /24s, one exception per prefix (0.33% of the
+// router × prefix pairs: the best route's announcer, absent or routed
+// elsewhere), and 21% of lookups to addresses no prefix covers. Each
+// lookup goes through BorderRouter::NextHopFor, out of line, as the
+// runtime's packet path does.
+void BM_BorderRouterNextHopSdxShape(benchmark::State& state) {
+  constexpr int kRouters = 300;
+  constexpr int kPrefixes = 4000;
+  core::Fib fib;
+  for (int i = 0; i < kPrefixes; ++i) {
+    const auto announcer = static_cast<std::uint32_t>(i % kRouters);
+    const net::IPv4Address shared(0xC0A80000u + 1 + (i * 7) % kRouters);
+    const net::IPv4Address other(0xC0A80000u + 1 + (i * 11) % kRouters);
+    fib.Set(workload::TopologyGenerator::PrefixNumber(i), shared,
+            {{announcer, i % 2 == 0 ? net::IPv4Address() : other}});
+  }
+  std::vector<core::BorderRouter> routers;
+  for (int r = 0; r < kRouters; ++r) {
+    routers.emplace_back(static_cast<core::AsNumber>(1000 + r),
+                         static_cast<net::PortId>(r), net::MacAddress(), fib,
+                         static_cast<std::uint32_t>(r));
+  }
+  struct Probe {
+    const core::BorderRouter* router;
+    net::IPv4Address dst;
+  };
+  std::mt19937 rng = workload::MakeRng(workload::DeriveSeed(42, 11));
+  std::vector<Probe> probes(4096);
+  for (Probe& probe : probes) {
+    probe.router = &routers[rng() % kRouters];
+    const std::uint32_t host = rng() & 0xFFu;
+    probe.dst =
+        rng() % 100 < 21
+            ? net::IPv4Address((64u << 24) | (rng() & 0xFFFF00u) | host)
+            : net::IPv4Address(workload::TopologyGenerator::PrefixNumber(
+                                   static_cast<int>(rng() % kPrefixes))
+                                   .network()
+                                   .value() |
+                               host);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Probe& probe = probes[i % probes.size()];
+    auto hop = probe.router->NextHopFor(probe.dst);
+    benchmark::DoNotOptimize(hop);
+    ++i;
+  }
+}
+BENCHMARK(BM_BorderRouterNextHopSdxShape);
 
 void BM_FecCompute(benchmark::State& state) {
   const auto prefixes = static_cast<int>(state.range(0));

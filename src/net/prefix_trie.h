@@ -1,9 +1,11 @@
 // Binary trie keyed by IPv4 prefix with longest-prefix-match lookup.
 //
-// Used to model participant border-router FIBs (the "first stage" of the
-// multi-stage FIB in §4.2 of the paper) and for reachability checks inside
-// the route server. PrefixMap<T> is the generic container; PrefixSet is the
-// common payload-free case.
+// PrefixMap<T> is the generic container; PrefixSet is the common
+// payload-free case. The BGP-consistency filters (sdx/bgp_filter.cc)
+// index a clause's destination restrictions in one. One node per prefix
+// bit keeps it simple rather than fast: the border routers' FIB is the
+// flat shared table of sdx/fib.h, and tests keep one PrefixMap per router
+// as that table's reference model.
 #pragma once
 
 #include <cstddef>

@@ -179,6 +179,10 @@ void FlowRecorder::SetPortOwner(std::uint32_t port, std::uint32_t as) {
 
 void FlowRecorder::CloseLocked(const FlowKey& key, const FlowState& state,
                                const char* reason) {
+  if (exported_.size() >= kExportCapacity) {
+    ++flows_dropped_;
+    return;
+  }
   FlowRecord record;
   record.in_port = key.in_port;
   record.out_port = key.out_port;
@@ -247,6 +251,11 @@ std::uint64_t FlowRecorder::packets_sampled() const {
 std::uint64_t FlowRecorder::flows_exported() const {
   std::lock_guard<std::mutex> lock(mu_);
   return flows_exported_;
+}
+
+std::uint64_t FlowRecorder::flows_dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return flows_dropped_;
 }
 
 std::uint64_t FlowRecorder::cache_evictions() const {

@@ -88,6 +88,11 @@ class FlowRecorder {
     std::uint32_t size_bytes = 0;
   };
 
+  // Closed flows held for Drain (~7 MB of records): a flow closed while
+  // the queue is full is dropped and counted (flows_dropped), so a
+  // recorder nobody drains stays bounded.
+  static constexpr std::size_t kExportCapacity = 65536;
+
   FlowRecorder();  // default Options
   explicit FlowRecorder(Options options);
   FlowRecorder(const FlowRecorder&) = delete;
@@ -111,7 +116,8 @@ class FlowRecorder {
   // deterministic key order.
   void FlushAll();
 
-  // Moves the export queue out (records appear in close order).
+  // Moves the export queue out (records appear in close order). Records
+  // closed while the queue held kExportCapacity of them are not in it.
   std::vector<FlowRecord> Drain();
   // Drains and renders as JSONL, one record per line.
   std::string DrainJsonl(bool timestamps = true);
@@ -119,7 +125,8 @@ class FlowRecorder {
   // Telemetry about the telemetry.
   std::uint64_t packets_seen() const;
   std::uint64_t packets_sampled() const;
-  std::uint64_t flows_exported() const;
+  std::uint64_t flows_exported() const;  // queued for Drain, ever
+  std::uint64_t flows_dropped() const;   // closed at a full export queue
   std::uint64_t cache_evictions() const;
   std::size_t live_flows() const;
 
@@ -222,10 +229,12 @@ class FlowRecorder {
   std::uint32_t lru_head_ = kNil;
   std::uint32_t lru_tail_ = kNil;
   std::map<std::uint32_t, std::uint32_t> port_owner_;
-  // Closed flows awaiting Drain. A deque, not a vector: it grows without
-  // moving what it holds, so closing a flow never copies the backlog.
+  // Closed flows awaiting Drain, at most kExportCapacity. A deque, not a
+  // vector: it grows without moving what it holds, so closing a flow never
+  // copies the backlog.
   std::deque<FlowRecord> exported_;
   std::uint64_t flows_exported_ = 0;
+  std::uint64_t flows_dropped_ = 0;
   std::uint64_t cache_evictions_ = 0;
   ClockSource clock_;  // injectable via SetClockForTest (under mu_)
 };

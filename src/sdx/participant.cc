@@ -32,20 +32,9 @@ std::string InboundClause::ToString() const {
   return os.str();
 }
 
-void BorderRouter::InstallRoute(const net::IPv4Prefix& prefix,
-                                net::IPv4Address next_hop) {
-  fib_.Insert(prefix, next_hop);
-}
-
-void BorderRouter::RemoveRoute(const net::IPv4Prefix& prefix) {
-  fib_.Erase(prefix);
-}
-
 std::optional<net::IPv4Address> BorderRouter::NextHopFor(
     net::IPv4Address dst) const {
-  auto match = fib_.LongestMatch(dst);
-  if (!match) return std::nullopt;
-  return *match->second;
+  return shared_fib_->Lookup(fib_index_, dst);
 }
 
 std::optional<net::Packet> BorderRouter::EmitPacket(

@@ -11,11 +11,14 @@
 //     rewritten and) delivered to my port K (or a hosting participant's
 //     port, for remote participants)". Unmatched traffic goes to port 0.
 //
-// BorderRouter models the participant's unmodified BGP router: it keeps a
-// FIB built from the routes the SDX route server advertises (next hop =
-// VNH), resolves next hops through the controller's ARP responder, and tags
+// BorderRouter models the participant's unmodified BGP router: it forwards
+// by the routes the SDX route server advertises to it (next hop = VNH),
+// resolves next hops through the controller's ARP responder, and tags
 // outgoing packets with the resolved (V)MAC — the "first stage" of the
 // multi-stage FIB of §4.2, implemented for free on the participant's router.
+// Its FIB is a view: all routers share the runtime's one Fib (sdx/fib.h),
+// which stores each prefix's common next hop once plus the few routers
+// whose route differs or is absent.
 #pragma once
 
 #include <optional>
@@ -26,9 +29,9 @@
 #include "dataplane/arp.h"
 #include "net/ipv4.h"
 #include "net/packet.h"
-#include "net/prefix_trie.h"
 #include "obs/drop_reason.h"
 #include "policy/predicate.h"
+#include "sdx/fib.h"
 #include "sdx/vswitch.h"
 
 namespace sdx::core {
@@ -120,17 +123,24 @@ class Participant {
 // The participant's border router, as seen from the fabric.
 class BorderRouter {
  public:
-  BorderRouter(AsNumber as, net::PortId attach_port, net::MacAddress port_mac)
-      : as_(as), attach_port_(attach_port), port_mac_(port_mac) {}
+  // A view of `fib` as router `fib_index`; `fib` must outlive the router.
+  // The FIB's owner maintains it from the route server's advertisements
+  // to this participant (next hop = a VNH for grouped prefixes, or the
+  // real next-hop router address for untouched ones).
+  BorderRouter(AsNumber as, net::PortId attach_port, net::MacAddress port_mac,
+               const Fib& fib, std::uint32_t fib_index)
+      : as_(as),
+        attach_port_(attach_port),
+        port_mac_(port_mac),
+        shared_fib_(&fib),
+        fib_index_(fib_index) {}
 
   AsNumber as() const { return as_; }
+  std::uint32_t fib_index() const { return fib_index_; }
 
-  // FIB maintenance, driven by route-server advertisements to this
-  // participant (next_hop is a VNH for grouped prefixes, or the real
-  // next-hop router address for untouched ones).
-  void InstallRoute(const net::IPv4Prefix& prefix, net::IPv4Address next_hop);
-  void RemoveRoute(const net::IPv4Prefix& prefix);
-  std::size_t fib_size() const { return fib_.size(); }
+  // Routes in this router's FIB.
+  std::size_t fib_size() const { return shared_fib_->RouteCount(fib_index_); }
+  // Longest-prefix match in this router's FIB.
   std::optional<net::IPv4Address> NextHopFor(net::IPv4Address dst) const;
 
   // Emits a packet into the fabric: longest-prefix-match in the FIB, ARP
@@ -148,7 +158,8 @@ class BorderRouter {
   AsNumber as_;
   net::PortId attach_port_;
   net::MacAddress port_mac_;
-  net::PrefixMap<net::IPv4Address> fib_;
+  const Fib* shared_fib_;
+  std::uint32_t fib_index_;
 };
 
 }  // namespace sdx::core

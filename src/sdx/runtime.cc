@@ -136,7 +136,9 @@ Participant& SdxRuntime::AddParticipant(AsNumber as, int physical_ports) {
   auto [it, inserted] = participants_.emplace(as, Participant(as, physical_ports));
   if (physical_ports > 0) {
     const PhysicalPort& port0 = topology_.PhysicalPortOf(as, 0);
-    routers_.emplace(as, BorderRouter(as, port0.id, port0.mac));
+    routers_.emplace(as, BorderRouter(as, port0.id, port0.mac, fib_,
+                                      static_cast<std::uint32_t>(
+                                          routers_.size())));
     // Real next-hop resolution for never-overridden prefixes: the router
     // address maps to the participant's port-0 MAC.
     arp_.Bind(router_ip, port0.mac);
@@ -388,13 +390,18 @@ void SdxRuntime::RecomputeGroups(obs::Tracer* tracer, bool incremental,
     overridden.erase(std::unique(overridden.begin(), overridden.end()),
                      overridden.end());
 
-    // Per-prefix routing info, memoized: only prefixes without a valid
-    // entry (new to the overridden set, or touched above) hit the route
-    // server, fanned out across `pool`. This is the dominant cost of a
-    // cold compile — senders × prefixes best-route lookups.
+    // Per-prefix routing info for every announced prefix, memoized: only
+    // prefixes without a valid entry (all of them on a full compile, the
+    // touched ones otherwise) hit the route server, fanned out across
+    // `pool`. This is the dominant cost of a cold compile — senders ×
+    // prefixes best-route lookups. The shared FIB is written from it too.
     std::vector<PrefixInfo*> fill;
     std::vector<const net::IPv4Prefix*> fill_prefixes;
-    for (const net::IPv4Prefix& prefix : overridden) {
+    const std::vector<net::IPv4Prefix> unknown =
+        incremental ? std::vector<net::IPv4Prefix>(rib_touched_.begin(),
+                                                   rib_touched_.end())
+                    : route_server_.AllPrefixes();
+    for (const net::IPv4Prefix& prefix : unknown) {
       auto [it, inserted] = prefix_info_.try_emplace(prefix);
       if (!inserted) continue;
       fill.push_back(&it->second);
@@ -417,6 +424,12 @@ void SdxRuntime::RecomputeGroups(obs::Tracer* tracer, bool incremental,
       pool->ParallelFor(fill.size(), compute_info);
     } else {
       for (std::size_t f = 0; f < fill.size(); ++f) compute_info(f);
+    }
+    // A prefix nobody announces any more routes nowhere: forget it.
+    for (std::size_t f = 0; f < fill.size(); ++f) {
+      if (fill[f]->global_hop == 0 && fill[f]->exceptions.empty()) {
+        prefix_info_.erase(*fill_prefixes[f]);
+      }
     }
 
     std::map<AsNumber, std::vector<net::IPv4Prefix>> by_next_hop;
@@ -535,57 +548,41 @@ void SdxRuntime::RecomputeGroups(obs::Tracer* tracer, bool incremental,
   prefix_vnh_ = std::move(new_prefix_vnh);
 }
 
-void SdxRuntime::ReadvertiseRoutes(bool incremental,
-                                   util::ThreadPool* pool) {
-  // Border-router FIBs: for each receiver, every prefix the route server
-  // advertises to it; grouped prefixes get their VNH as next hop, others
-  // keep the real next hop from the best route. Routers are independent —
-  // each rebuild reads only the (const) route server and group table — so
-  // they fan out one-per-worker.
-  std::vector<std::pair<const AsNumber, BorderRouter>*> targets;
-  targets.reserve(routers_.size());
-  for (auto& entry : routers_) targets.push_back(&entry);
-
-  auto advertise_full = [&](std::size_t t) {
-    auto& [as, router] = *targets[t];
-    const bgp::LocRib* rib = route_server_.LocRibFor(as);
-    // Rebuild from scratch: simplest correct model of a session refresh.
-    router = BorderRouter(as, topology_.PhysicalPortOf(as, 0).id,
-                          topology_.PhysicalPortOf(as, 0).mac);
-    if (rib == nullptr) return;
-    rib->ForEach([&](const bgp::BgpRoute& route) {
-      const AnnotatedGroup* group = groups_.FindByPrefix(route.prefix);
-      // Ungrouped prefixes keep a real next hop: the announcing
-      // participant's IXP-facing router address (which ARP resolves to its
-      // port MAC) — exactly what a conventional route server re-advertises.
-      router.InstallRoute(route.prefix, group != nullptr
-                                            ? group->binding.vnh
-                                            : RouterIp(route.peer_as));
-    });
-  };
-  auto advertise_dirty = [&](std::size_t t) {
-    auto& [as, router] = *targets[t];
-    for (const net::IPv4Prefix& prefix : dirty_prefixes_) {
-      const bgp::BgpRoute* route = route_server_.BestRoute(as, prefix);
-      if (route == nullptr) {
-        router.RemoveRoute(prefix);
-        continue;
-      }
-      const AnnotatedGroup* group = groups_.FindByPrefix(prefix);
-      router.InstallRoute(prefix, group != nullptr
-                                      ? group->binding.vnh
-                                      : RouterIp(route->peer_as));
+void SdxRuntime::ReadvertiseRoutes(bool incremental) {
+  if (!incremental) {
+    fib_.Clear();
+    for (const auto& [prefix, info] : prefix_info_) {
+      AdvertisePrefix(prefix, info);
     }
-  };
-
-  const std::function<void(std::size_t)> body =
-      incremental ? std::function<void(std::size_t)>(advertise_dirty)
-                  : std::function<void(std::size_t)>(advertise_full);
-  if (pool != nullptr) {
-    pool->ParallelFor(targets.size(), body);
-  } else {
-    for (std::size_t t = 0; t < targets.size(); ++t) body(t);
+    return;
   }
+  for (const net::IPv4Prefix& prefix : dirty_prefixes_) {
+    auto it = prefix_info_.find(prefix);
+    if (it == prefix_info_.end()) {
+      fib_.Erase(prefix);
+    } else {
+      AdvertisePrefix(prefix, it->second);
+    }
+  }
+}
+
+void SdxRuntime::AdvertisePrefix(const net::IPv4Prefix& prefix,
+                                 const PrefixInfo& info) {
+  // Grouped prefixes resolve to the group's VNH for every receiver with a
+  // route. Ungrouped ones keep a real next hop: the announcing
+  // participant's IXP-facing router address (which ARP resolves to its
+  // port MAC) — exactly what a conventional route server re-advertises.
+  const AnnotatedGroup* group = groups_.FindByPrefix(prefix);
+  auto hop_via = [&](AsNumber peer) {
+    if (peer == 0) return net::IPv4Address();
+    return group != nullptr ? group->binding.vnh : RouterIp(peer);
+  };
+  std::vector<Fib::Exception> exceptions;
+  exceptions.reserve(info.exceptions.size());
+  for (const auto& [sender, own_hop] : info.exceptions) {
+    exceptions.push_back({FibIndexOf(sender), hop_via(own_hop)});
+  }
+  fib_.Set(prefix, hop_via(info.global_hop), std::move(exceptions));
 }
 
 RuntimeOptions SdxRuntime::Configure(const RuntimeOptions& options) {
@@ -675,7 +672,7 @@ CompileStats SdxRuntime::FullCompile() {
     }
     {
       obs::TraceSpan span(&tracer_, "readvertise_routes");
-      ReadvertiseRoutes(incremental, pool);
+      ReadvertiseRoutes(incremental);
     }
 
     CompiledSdx compiled;
@@ -966,32 +963,30 @@ BatchStats SdxRuntime::RunBatch(std::vector<bgp::CoalescedUpdate> slots,
       {
         obs::TraceSpan span(&tracer_, "readvertise");
         // Re-advertise: each changed prefix now resolves to its fresh VNH
-        // for all receivers that still have a route; receivers that lost
-        // it drop the FIB entry. Routers are independent, so they fan out
-        // one-per-worker.
-        for (const AnnotatedGroup& group : new_groups) {
+        // for all receivers that still have a route; the receivers group
+        // construction found without one (per_sender_best 0) become
+        // "absent" exceptions. One shared-FIB write per prefix.
+        for (std::size_t g = 0; g < new_groups.size(); ++g) {
+          const AnnotatedGroup& group = new_groups[g];
+          const net::IPv4Prefix& prefix = changed_order[g];
           arp_.Bind(group.binding.vnh, group.binding.vmac);
-        }
-        std::vector<std::pair<const AsNumber, BorderRouter>*> targets;
-        targets.reserve(routers_.size());
-        for (auto& entry : routers_) targets.push_back(&entry);
-        auto readvertise = [&](std::size_t t) {
-          auto& [as, router] = *targets[t];
-          for (std::size_t g = 0; g < new_groups.size(); ++g) {
-            const net::IPv4Prefix& prefix = changed_order[g];
-            const bgp::BgpRoute* route =
-                route_server_.BestRoute(as, prefix);
-            if (route == nullptr) {
-              router.RemoveRoute(prefix);
-            } else if (new_groups[g].best_hop != 0) {
-              router.InstallRoute(prefix, new_groups[g].binding.vnh);
+          std::vector<Fib::Exception> exceptions;
+          for (const auto& [sender, own_hop] : group.per_sender_best) {
+            const std::uint32_t router = FibIndexOf(sender);
+            if (own_hop == 0) {
+              exceptions.push_back({router, net::IPv4Address()});
+            } else if (group.best_hop == 0) {
+              // No global best, yet this receiver has a route: it keeps
+              // the entry it had.
+              exceptions.push_back(
+                  {router, fib_.Find(router, prefix).value_or(
+                               net::IPv4Address())});
             }
           }
-        };
-        if (pool != nullptr && targets.size() > 1) {
-          pool->ParallelFor(targets.size(), readvertise);
-        } else {
-          for (std::size_t t = 0; t < targets.size(); ++t) readvertise(t);
+          fib_.Set(prefix,
+                   group.best_hop != 0 ? group.binding.vnh
+                                       : net::IPv4Address(),
+                   std::move(exceptions));
         }
         for (std::size_t g = 0; g < new_groups.size(); ++g) {
           fast_group_of_[changed_order[g]] = fast_groups_.size();
@@ -1277,6 +1272,8 @@ obs::MetricsSnapshot SdxRuntime::SnapshotMetrics() {
         .Set(flow_recorder_->packets_sampled());
     metrics_.GetCounter("telemetry.flows_exported")
         .Set(flow_recorder_->flows_exported());
+    metrics_.GetCounter("telemetry.flows_dropped")
+        .Set(flow_recorder_->flows_dropped());
     metrics_.GetCounter("telemetry.cache_evictions")
         .Set(flow_recorder_->cache_evictions());
     metrics_.GetGauge("telemetry.live_flows")

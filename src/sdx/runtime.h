@@ -404,12 +404,24 @@ class SdxRuntime {
   // already stamped at kBgpSessionRx). No-op without a journal.
   void StampIngress(bgp::BgpUpdate& update);
 
-  // Re-advertises next hops into the border-router FIBs (one router per
-  // worker when `pool` is set). Full mode rebuilds every FIB from scratch;
-  // incremental mode touches only dirty_prefixes_ — sound because an
+  // Re-advertises next hops into the shared border-router FIB from the
+  // per-prefix routing info. Full mode rebuilds it from scratch;
+  // incremental mode rewrites only dirty_prefixes_ — sound because an
   // untouched prefix has an unchanged best route for every receiver AND an
   // unchanged VNH binding (both are in the dirty set by construction).
-  void ReadvertiseRoutes(bool incremental, util::ThreadPool* pool);
+  // Each prefix costs O(1 + its exceptions), never O(routers).
+  void ReadvertiseRoutes(bool incremental);
+
+  // Writes `prefix`'s FIB entry: its group's VNH (or the global best's
+  // router address when ungrouped) shared by every router, plus one
+  // exception per router whose own best route differs or is absent.
+  struct PrefixInfo;
+  void AdvertisePrefix(const net::IPv4Prefix& prefix, const PrefixInfo& info);
+
+  // The shared FIB's index of `as`'s border router.
+  std::uint32_t FibIndexOf(AsNumber as) const {
+    return routers_.at(as).fib_index();
+  }
 
   // True when every change since the last FullCompile flowed through the
   // runtime's tracked paths, so the memoized state + rib_touched_ fully
@@ -431,6 +443,9 @@ class SdxRuntime {
   dataplane::ArpResponder arp_;
   VirtualTopology topology_;
   std::map<AsNumber, Participant> participants_;
+  // The one FIB every border router views (declared before the routers,
+  // so it outlives them); router i of the FIB is the i-th registered.
+  Fib fib_;
   std::map<AsNumber, BorderRouter> routers_;
   std::map<AsNumber, net::IPv4Address> router_ips_;
   VnhAllocator vnh_;
@@ -463,9 +478,11 @@ class SdxRuntime {
     std::vector<net::IPv4Prefix> prefixes;
   };
   std::map<std::pair<AsNumber, int>, ClauseEligible> clause_eligible_;
-  // Per-prefix routing info (global best hop + per-sender exceptions) for
-  // overridden prefixes. An entry is valid as long as the prefix's RIB
-  // state is unchanged — touched prefixes are erased before reuse.
+  // Per-prefix routing info (global best hop + the border routers whose
+  // own best hop differs, 0 = no route) for every announced prefix: it
+  // feeds both grouping and the shared FIB. An entry is valid as long as
+  // the prefix's RIB state is unchanged — touched prefixes are erased
+  // before reuse.
   struct PrefixInfo {
     AsNumber global_hop = 0;
     std::vector<std::pair<AsNumber, AsNumber>> exceptions;  // (sender, hop)

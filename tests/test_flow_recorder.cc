@@ -192,6 +192,34 @@ TEST(FlowRecorder, TouchingAFlowSavesItFromEviction) {
   EXPECT_EQ(records[0].rule_cookie, 2u);  // cookie 1 was refreshed
 }
 
+TEST(FlowRecorder, AnUndrainedExportQueueStaysAtItsCapacity) {
+  FlowRecorder::Options options;
+  options.sample_rate = 1;
+  options.cache_capacity = 1;  // every new flow evicts (closes) the last
+  FlowRecorder recorder(options);
+  constexpr std::uint64_t kExtra = 40;
+  const std::uint64_t flows = FlowRecorder::kExportCapacity + kExtra;
+  for (std::uint64_t cookie = 0; cookie < flows; ++cookie) {
+    recorder.RecordPacket(MakeSample(1, 2, cookie));
+  }
+  recorder.FlushAll();
+  // Every flow closed: the first kExportCapacity queued, the rest dropped.
+  EXPECT_EQ(recorder.cache_evictions(), flows - 1);
+  EXPECT_EQ(recorder.flows_exported(), FlowRecorder::kExportCapacity);
+  EXPECT_EQ(recorder.flows_dropped(), kExtra);
+  auto records = recorder.Drain();
+  ASSERT_EQ(records.size(), FlowRecorder::kExportCapacity);
+  EXPECT_EQ(records.front().rule_cookie, 0u);
+  EXPECT_EQ(records.back().rule_cookie, FlowRecorder::kExportCapacity - 1);
+  // Draining makes room again.
+  recorder.RecordPacket(MakeSample(1, 2, flows));
+  recorder.FlushAll();
+  records = recorder.Drain();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].rule_cookie, flows);
+  EXPECT_EQ(recorder.flows_dropped(), kExtra);
+}
+
 TEST(FlowRecorder, FlushExportsInDeterministicKeyOrder) {
   FlowRecorder recorder(SampleEverything());
   recorder.RecordPacket(MakeSample(9, 1, /*cookie=*/3));

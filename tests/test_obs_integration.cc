@@ -237,8 +237,9 @@ TEST_F(ObsIntegrationTest, ExplicitDropIsDistinctFromTableMiss) {
 }
 
 TEST_F(ObsIntegrationTest, ArpUnresolvedIsAttributedByTheBorderRouter) {
-  BorderRouter router(kA, net::PortId{1}, net::MacAddress{});
-  router.InstallRoute(P(1), *net::IPv4Address::Parse("192.168.0.1"));
+  Fib fib;
+  fib.Set(P(1), *net::IPv4Address::Parse("192.168.0.1"), {});
+  BorderRouter router(kA, net::PortId{1}, net::MacAddress{}, fib, 0);
   dataplane::ArpResponder empty_arp;
   obs::DropReason reason = DropReason::kNoFibRoute;
   EXPECT_FALSE(router.EmitPacket(PacketToPrefix(1, 80), empty_arp, &reason));
@@ -407,6 +408,26 @@ TEST_F(ObsIntegrationTest, FlowRecordsResolveParticipantsAndFec) {
   const obs::MetricsSnapshot snap = runtime_.SnapshotMetrics();
   EXPECT_EQ(snap.counters.at("telemetry.packets_seen"), 1u);
   EXPECT_EQ(snap.counters.at("telemetry.flows_exported"), 1u);
+  EXPECT_EQ(snap.counters.at("telemetry.flows_dropped"), 0u);
+}
+
+TEST_F(ObsIntegrationTest, FlowsDroppedAtAFullExportQueueAreCounted) {
+  obs::FlowRecorder::Options options;
+  options.sample_rate = 1;
+  options.cache_capacity = 1;  // each new flow closes the previous one
+  SetFlowTelemetry(true, options);
+  obs::FlowRecorder* recorder = runtime_.flow_recorder();
+  obs::FlowRecorder::Sample sample;
+  const std::uint64_t flows = obs::FlowRecorder::kExportCapacity + 3;
+  for (sample.rule_cookie = 0; sample.rule_cookie < flows;
+       ++sample.rule_cookie) {
+    recorder->RecordPacket(sample);  // nobody drains
+  }
+  recorder->FlushAll();
+  const obs::MetricsSnapshot snap = runtime_.SnapshotMetrics();
+  EXPECT_EQ(snap.counters.at("telemetry.flows_exported"),
+            obs::FlowRecorder::kExportCapacity);
+  EXPECT_EQ(snap.counters.at("telemetry.flows_dropped"), 3u);
 }
 
 TEST_F(ObsIntegrationTest, FlowTelemetryDoesNotChangeForwarding) {

@@ -173,6 +173,36 @@ TEST_F(Figure1Test, UntouchedPrefixUsesPlainL2Path) {
             runtime_.topology().PhysicalPortOf(kA, 0).mac);
 }
 
+TEST_F(Figure1Test, ExportDeniedMoreSpecificFollowsCoveringPrefix) {
+  // C announces a /24 inside p1 but does not export it to A: A's border
+  // router has no route for the /24, so its packets follow p1's /16 (web
+  // to B, the rest to C) instead of being dropped or sent on the /24.
+  const net::IPv4Prefix more_specific = Pfx("10.1.7.0/24");
+  runtime_.route_server().DenyExport(kC, kA, more_specific);
+  runtime_.AnnouncePrefix(kC, more_specific);
+  runtime_.FullCompile();
+  const net::IPv4Address inside(10, 1, 7, 9);
+
+  EXPECT_FALSE(runtime_.AdvertisedNextHop(kA, more_specific));
+  const auto* a = runtime_.FindRouter(kA);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->NextHopFor(inside), runtime_.AdvertisedNextHop(kA, P(1)));
+  // B holds the /24 itself, via C's real address.
+  EXPECT_EQ(runtime_.FindRouter(kB)->NextHopFor(inside),
+            runtime_.RouterIp(kC));
+
+  net::Packet web = PacketTo(1, 80, net::IPv4Address(10, 99, 0, 1));
+  web.header.dst_ip = inside;
+  auto emissions = runtime_.InjectFromParticipant(kA, web);
+  ASSERT_EQ(emissions.size(), 1u);
+  EXPECT_EQ(emissions[0].out_port, PortOf(kB, 0));
+  net::Packet ssh = PacketTo(1, 22);
+  ssh.header.dst_ip = inside;
+  emissions = runtime_.InjectFromParticipant(kA, ssh);
+  ASSERT_EQ(emissions.size(), 1u);
+  EXPECT_EQ(emissions[0].out_port, PortOf(kC, 0));
+}
+
 TEST_F(Figure1Test, OverriddenPrefixUsesVnh) {
   const auto* router = runtime_.FindRouter(kA);
   ASSERT_NE(router, nullptr);
